@@ -9,16 +9,7 @@ CSI, per-user powers plus amplitude scaling), and an OFDMA baseline.
 
 __version__ = "0.1.0"
 
-from .channel import (
-    RNG_ALGORITHM,
-    ChannelState,
-    LinkBudget,
-    RngState,
-    from_db,
-    order_users,
-    rayleigh_fades,
-    sample_rayleigh,
-)
+from .channel import RNG_ALGORITHM, LinkBudget, RngState, from_db, rayleigh_fades
 from .constellations import Constellation, SymbolRelation, make_psk, make_qam, relate
 from .rates import (
     RatePair,
@@ -33,7 +24,7 @@ from .rates import (
     rama2_rates,
     reconfig_noma_rates,
 )
-from .region import RateRegion, pareto_filter, r2_at_r1, trace_region
+from .region import RateRegion, r2_at_r1, trace_region
 from .sweep import (
     FadingConfig,
     SweepConfig,
@@ -48,14 +39,12 @@ from .transceiver import (
     rama1_transmit,
     rama2_presplit,
     rama2_transmit,
-    receive,
     reconfig_noma_split,
     superpose,
 )
 
 __all__ = [
     "RNG_ALGORITHM",
-    "ChannelState",
     "Constellation",
     "FadingConfig",
     "LinkBudget",
@@ -78,8 +67,6 @@ __all__ = [
     "noma_rates",
     "noma_sum_symmetric",
     "oma_rates",
-    "order_users",
-    "pareto_filter",
     "r2_at_r1",
     "rama1_rates",
     "rama1_sum_symmetric",
@@ -88,12 +75,10 @@ __all__ = [
     "rama2_rates",
     "rama2_transmit",
     "rayleigh_fades",
-    "receive",
     "reconfig_noma_rates",
     "reconfig_noma_split",
     "relate",
     "run_sweep",
-    "sample_rayleigh",
     "superpose",
     "trace_region",
 ]

@@ -1,4 +1,4 @@
-"""Channel state, dB link budgets, and seeded Rayleigh fading.
+"""dB link budgets and seeded Rayleigh fading.
 
 Randomness contract: uniform draws come from numpy's PCG64 stream and
 Gaussian draws from an explicit Box-Muller transform over those uniforms,
@@ -17,28 +17,10 @@ RNG_ALGORITHM = "pcg64+box-muller"
 
 _TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class ChannelState:
-    """Per-user complex gains and noise powers for one realization."""
-
-    h1: complex
-    h2: complex
-    sigma1_sq: float
-    sigma2_sq: float
-
-    def __post_init__(self):
-        if self.sigma1_sq <= 0.0 or self.sigma2_sq <= 0.0:
-            raise ValueError("noise powers must be positive")
-
-    @property
-    def gamma1(self) -> float:
-        """Normalized gain |h1|^2 / sigma1^2 of user 1."""
-        return abs(self.h1) ** 2 / self.sigma1_sq
-
-    @property
-    def gamma2(self) -> float:
-        return abs(self.h2) ** 2 / self.sigma2_sq
+# Largest |level| accepted for any p*gamma given in dB. At 1000 dB a gain is
+# 1e100, so every rate stays finite, OMA's p*g/band included on any grid
+# that fits in memory; 10**(x/10) itself overflows above about 3082.5 dB.
+DB_LIMIT = 1000.0
 
 
 @dataclass(frozen=True)
@@ -74,9 +56,16 @@ class LinkBudget:
         return math.isclose(self.gamma1, self.gamma2, rel_tol=1e-9, abs_tol=0.0)
 
 
+def db_to_linear(level_db: float) -> float:
+    """10**(level/10) for a level within +-DB_LIMIT dB; ValueError otherwise."""
+    if not -DB_LIMIT <= level_db <= DB_LIMIT:
+        raise ValueError(f"level {level_db!r} dB outside [-{DB_LIMIT:g}, {DB_LIMIT:g}] dB")
+    return 10.0 ** (level_db / 10.0)
+
+
 def from_db(p_gamma1_db: float, p_gamma2_db: float) -> LinkBudget:
     """Budget from per-user p*|h|^2/sigma^2 levels given in dB."""
-    return LinkBudget(1.0, 10.0 ** (p_gamma1_db / 10.0), 10.0 ** (p_gamma2_db / 10.0))
+    return LinkBudget(1.0, db_to_linear(p_gamma1_db), db_to_linear(p_gamma2_db))
 
 
 class RngState:
@@ -89,10 +78,6 @@ class RngState:
     def derive(self, offset: int) -> "RngState":
         """Stream for a worker or grid index: (seed + offset) mod 2^64."""
         return RngState((self.seed + int(offset)) % 2**64)
-
-    def uniform(self, size=None):
-        """Uniform samples on [0, 1)."""
-        return self._gen.random(size)
 
     def standard_normal(self, size: int) -> np.ndarray:
         """N(0, 1) samples via Box-Muller.
@@ -120,19 +105,3 @@ def rayleigh_fades(rng: RngState, mean_gain: float, size: int) -> np.ndarray:
     z = rng.standard_normal(2 * int(size))
     scale = math.sqrt(mean_gain / 2.0)
     return scale * (z[0::2] + 1j * z[1::2])
-
-
-def sample_rayleigh(
-    rng: RngState, mean_gain1: float, mean_gain2: float, sigma_sq: float
-) -> ChannelState:
-    """One independent fading realization per user, equal noise power."""
-    if sigma_sq <= 0.0:
-        raise ValueError("sigma_sq must be positive")
-    h1 = complex(rayleigh_fades(rng, mean_gain1, 1)[0])
-    h2 = complex(rayleigh_fades(rng, mean_gain2, 1)[0])
-    return ChannelState(h1, h2, float(sigma_sq), float(sigma_sq))
-
-
-def order_users(ch: ChannelState) -> tuple[int, int]:
-    """User indices as (strong, weak) by normalized gain; ties keep user 1 strong."""
-    return (1, 2) if ch.gamma1 >= ch.gamma2 else (2, 1)

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import __version__
-from .channel import RNG_ALGORITHM, from_db
+from .channel import RNG_ALGORITHM, db_to_linear, from_db
 from .constellations import PSK, QAM, make_psk, make_qam
 from .rates import Scheme
 from .region import trace_region
@@ -59,6 +59,12 @@ def _parse_float(text: str) -> float:
         raise ValueError(f"invalid number {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"value must be finite, got {text!r}")
+    return value
+
+
+def _parse_db(text: str) -> float:
+    value = _parse_float(text)
+    db_to_linear(value)  # raises outside the +-DB_LIMIT domain
     return value
 
 
@@ -144,22 +150,22 @@ _REQUIRED = object()
 # key -> (parse, serialize, default); _REQUIRED defaults must be supplied by
 # the config file or a flag. Table order is the config-echo order.
 REGION_TABLE = {
-    "g1_db": (_parse_float, _ser_float, _REQUIRED),
-    "g2_db": (_parse_float, _ser_float, _REQUIRED),
+    "g1_db": (_parse_db, _ser_float, _REQUIRED),
+    "g2_db": (_parse_db, _ser_float, _REQUIRED),
     "schemes": (_schemes_parser(REGION_SCHEMES), _ser_schemes, _REQUIRED),
     "grid_n": (_parse_int, str, 1000),
 }
 
 SWEEP_TABLE = {
     "mode": (_parse_mode, _ser_str, "symmetric"),
-    "grid_start_db": (_parse_float, _ser_float, None),  # None = mode default
-    "grid_stop_db": (_parse_float, _ser_float, 40.0),
+    "grid_start_db": (_parse_db, _ser_float, None),  # None = mode default
+    "grid_stop_db": (_parse_db, _ser_float, 40.0),
     "grid_step_db": (_parse_float, _ser_float, 1.0),
     "schemes": (_schemes_parser(SWEEP_SCHEMES), _ser_schemes, (Scheme.NOMA, Scheme.RAMA1)),
     "splits": (_parse_splits, _ser_floats, DEFAULT_SPLITS),
     "fading_samples": (_parse_int, str, 0),
     "seed": (_parse_int, str, 0),
-    "ratio_anchor_db": (_parse_float, _ser_float, 0.0),
+    "ratio_anchor_db": (_parse_db, _ser_float, 0.0),
 }
 
 CHECK_TABLE = {
@@ -276,8 +282,8 @@ def _cmd_region(args) -> int:
     lines.append("scheme,r1_bits,r2_bits")
     for scheme in params["schemes"]:
         region = trace_region(scheme, lb, params["grid_n"])
-        for pt in region.frontier:
-            lines.append(f"{scheme.value},{_fmt(pt.r1)},{_fmt(pt.r2)}")
+        for r1, r2 in zip(region.r1.tolist(), region.r2.tolist()):
+            lines.append(f"{scheme.value},{_fmt(r1)},{_fmt(r2)}")
     _write_output(args.out, lines)
     return EXIT_OK
 

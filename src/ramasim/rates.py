@@ -1,8 +1,9 @@
 """Closed-form achievable rates for every supported scheme.
 
-Two layers. The bare formula helpers broadcast over numpy arrays and are
-what the region and sweep grids evaluate; the scalar API wraps them with
-the typed config objects and returns `RatePair`. Everything works in the
+Two layers. The formula layer is two log2 forms plus OMA, composed into
+one vectorized rate-pair function per scheme in `SCHEMES`; the region and
+sweep grids evaluate that table, and the scalar API reads it with the
+typed config objects and returns `RatePair`. Everything works in the
 linear power domain; dB conversions stay at the edges (`from_db`).
 """
 
@@ -47,110 +48,88 @@ class RatePair:
 # scalars or broadcastable numpy arrays.
 
 
-def noma_strong_rate(p_self, g_self):
-    """Interference-free rate after successive cancellation: log2(1 + p*g)."""
-    return np.log2(1.0 + p_self * g_self)
+def free(p, g):
+    """Interference-free rate: log2(1 + p*g)."""
+    return np.log2(1.0 + p * g)
 
 
-def noma_weak_rate(p_strong, p_weak, g_weak):
+def masked(p_strong, p_weak, g):
     """Rate with the strong user's superposed signal treated as noise."""
-    return np.log2(1.0 + p_weak * g_weak / (p_strong * g_weak + 1.0))
+    return np.log2(1.0 + p_weak * g / (p_strong * g + 1.0))
 
 
-def reconfig_strong_rate(p_self, g_self, beam_share):
-    return np.log2(1.0 + beam_share * p_self * g_self)
-
-
-def reconfig_weak_rate(p_strong, p_weak, g_weak, beam_share):
-    scaled = beam_share * g_weak
-    return np.log2(1.0 + p_weak * scaled / (p_strong * scaled + 1.0))
-
-
-def rama1_rate(p, g):
-    """Interference-free rate under the fixed equal split: log2(1 + p*g/2)."""
-    return np.log2(1.0 + 0.5 * p * g)
-
-
-def rama2_rate(p_self, g_self):
-    return np.log2(1.0 + p_self * g_self)
-
-
-def oma_rate(p_self, g_self, bandwidth):
-    """bandwidth * log2(1 + p*g/bandwidth); a zero share carries zero rate."""
-    band = np.asarray(bandwidth, dtype=float)
+def oma(p, g, band):
+    """band * log2(1 + p*g/band); a zero share carries zero rate."""
+    band = np.asarray(band, dtype=float)
     safe = np.where(band > 0.0, band, 1.0)
-    return np.where(band > 0.0, band * np.log2(1.0 + p_self * g_self / safe), 0.0)
+    return np.where(band > 0.0, band * np.log2(1.0 + p * g / safe), 0.0)
 
 
-def noma_pair_ordered(p1, p2, g1, g2):
-    """(R1, R2) with the SIC order set by channel quality, ties favor user 1."""
-    strong1 = np.asarray(g1) >= np.asarray(g2)
-    r1 = np.where(strong1, noma_strong_rate(p1, g1), noma_weak_rate(p2, p1, g1))
-    r2 = np.where(strong1, noma_weak_rate(p1, p2, g2), noma_strong_rate(p2, g2))
+def superposition(p1, p2, g1, g2, a1, a2):
+    """(R1, R2) under SIC at the stronger user; ties make user 1 strong.
+
+    User i's gain is scaled by its beam share a_i: plain NOMA passes
+    (1, 1), beam-divided NOMA (alpha, 1 - alpha).
+    """
+    strong1 = g1 >= g2
+    r1 = np.where(strong1, free(a1 * p1, g1), masked(p2, p1, a1 * g1))
+    r2 = np.where(strong1, masked(p1, p2, a2 * g2), free(a2 * p2, g2))
     return r1, r2
 
 
-def reconfig_pair_ordered(p1, p2, g1, g2, alpha):
-    """Beam-divided NOMA pair; user 1 rides the alpha beam, user 2 the rest."""
-    strong1 = np.asarray(g1) >= np.asarray(g2)
-    a1, a2 = alpha, 1.0 - alpha
-    r1 = np.where(
-        strong1, reconfig_strong_rate(p1, g1, a1), reconfig_weak_rate(p2, p1, g1, a1)
-    )
-    r2 = np.where(
-        strong1, reconfig_weak_rate(p1, p2, g2, a2), reconfig_strong_rate(p2, g2, a2)
-    )
-    return r1, r2
+# Scheme -> (p, p1, p2, g1, g2, share) -> (R1, R2), vectorized. p is the
+# total power and p1/p2 the per-user powers; share is user 1's share of the
+# resource the scheme divides (beam share alpha for reconfig-NOMA,
+# bandwidth share beta for OMA) and is ignored by the other schemes.
+SCHEMES = {
+    Scheme.NOMA: lambda p, p1, p2, g1, g2, share: superposition(p1, p2, g1, g2, 1.0, 1.0),
+    Scheme.RECONFIG_NOMA: lambda p, p1, p2, g1, g2, share: superposition(
+        p1, p2, g1, g2, share, 1.0 - share
+    ),
+    Scheme.RAMA1: lambda p, p1, p2, g1, g2, share: (free(0.5 * p, g1), free(0.5 * p, g2)),
+    Scheme.RAMA2: lambda p, p1, p2, g1, g2, share: (free(p1, g1), free(p2, g2)),
+    Scheme.OMA: lambda p, p1, p2, g1, g2, share: (
+        oma(p1, g1, share),
+        oma(p2, g2, 1.0 - share),
+    ),
+}
 
 
 # --- scalar API ------------------------------------------------------------
 
 
-def noma_rates(alloc: PowerAllocation, lb: LinkBudget) -> RatePair:
-    """Superposition-coding rates in user-1-strong form.
+def _pair(scheme: Scheme, p, p1, p2, lb: LinkBudget, share=None) -> RatePair:
+    r1, r2 = SCHEMES[scheme](p, p1, p2, lb.gamma1, lb.gamma2, share)
+    return RatePair(float(r1), float(r2), scheme)
 
-    Callers are responsible for the decoding order: apply this only when
-    gamma1 >= gamma2 (see `noma_pair_ordered` for the order-aware variant).
-    """
-    r1 = float(noma_strong_rate(alloc.p1, lb.gamma1))
-    r2 = float(noma_weak_rate(alloc.p1, alloc.p2, lb.gamma2))
-    return RatePair(r1, r2, Scheme.NOMA)
+
+def noma_rates(alloc: PowerAllocation, lb: LinkBudget) -> RatePair:
+    """Superposition-coding rates; the stronger user decodes with SIC."""
+    return _pair(Scheme.NOMA, alloc.p, alloc.p1, alloc.p2, lb)
 
 
 def reconfig_noma_rates(alloc: PowerAllocation, lb: LinkBudget, alpha: float) -> RatePair:
     """Superposition coding with the waveform split alpha/(1-alpha) across beams."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("power-division factor alpha must lie strictly inside (0, 1)")
-    r1 = float(reconfig_strong_rate(alloc.p1, lb.gamma1, alpha))
-    r2 = float(reconfig_weak_rate(alloc.p1, alloc.p2, lb.gamma2, 1.0 - alpha))
-    return RatePair(r1, r2, Scheme.RECONFIG_NOMA)
+    return _pair(Scheme.RECONFIG_NOMA, alloc.p, alloc.p1, alloc.p2, lb, alpha)
 
 
 def rama1_rates(p: float, lb: LinkBudget) -> RatePair:
     """Both users interference-free at half the total power each."""
-    return RatePair(
-        float(rama1_rate(p, lb.gamma1)),
-        float(rama1_rate(p, lb.gamma2)),
-        Scheme.RAMA1,
-    )
+    return _pair(Scheme.RAMA1, p, 0.5 * p, 0.5 * p, lb)
 
 
 def rama2_rates(alloc: PowerAllocation, lb: LinkBudget) -> RatePair:
     """Both users interference-free at their allocated powers."""
-    return RatePair(
-        float(rama2_rate(alloc.p1, lb.gamma1)),
-        float(rama2_rate(alloc.p2, lb.gamma2)),
-        Scheme.RAMA2,
-    )
+    return _pair(Scheme.RAMA2, alloc.p, alloc.p1, alloc.p2, lb)
 
 
 def oma_rates(alloc: PowerAllocation, lb: LinkBudget, beta: float) -> RatePair:
     """Orthogonal baseline: user 1 gets bandwidth share beta, user 2 the rest."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("bandwidth share beta must lie in [0, 1]")
-    r1 = float(oma_rate(alloc.p1, lb.gamma1, beta))
-    r2 = float(oma_rate(alloc.p2, lb.gamma2, 1.0 - beta))
-    return RatePair(r1, r2, Scheme.OMA)
+    return _pair(Scheme.OMA, alloc.p, alloc.p1, alloc.p2, lb, beta)
 
 
 def noma_sum_symmetric(p_gamma: float) -> float:

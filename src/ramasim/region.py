@@ -1,51 +1,52 @@
-"""Achievable-rate-region tracing and Pareto-frontier utilities."""
+"""Achievable-rate-region tracing, Pareto filtering and frontier lookup."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LinkBudget
-from .rates import (
-    RatePair,
-    Scheme,
-    noma_pair_ordered,
-    oma_rate,
-    rama1_rate,
-    rama2_rate,
-)
+from .rates import SCHEMES, Scheme
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateRegion:
-    """Pareto frontier of one scheme's achievable (R1, R2) pairs."""
+    """Pareto frontier of one scheme's achievable (R1, R2) pairs.
+
+    `r1` and `r2` are read-only float arrays, r1 strictly increasing and r2
+    nonincreasing, so `r1[-1]` is the largest user-1 rate and `r2[0]` the
+    largest user-2 rate.
+    """
 
     scheme: Scheme
-    frontier: tuple[RatePair, ...]
+    r1: np.ndarray
+    r2: np.ndarray
     grid_resolution: int
 
     def __post_init__(self):
-        if not self.frontier:
+        r1 = np.array(self.r1, dtype=float)
+        r2 = np.array(self.r2, dtype=float)
+        if r1.ndim != 1 or r1.shape != r2.shape:
+            raise ValueError("frontier r1 and r2 must be 1-D arrays of equal length")
+        if r1.size == 0:
             raise ValueError("frontier must be nonempty")
-        r1s = [pt.r1 for pt in self.frontier]
-        r2s = [pt.r2 for pt in self.frontier]
-        if any(b <= a for a, b in zip(r1s, r1s[1:])):
+        if not np.all(np.isfinite(r1) & np.isfinite(r2) & (r1 >= 0.0) & (r2 >= 0.0)):
+            raise ValueError("frontier rates must be finite and nonnegative")
+        if np.any(r1[1:] <= r1[:-1]):
             raise ValueError("frontier r1 values must be strictly increasing")
-        if any(b > a for a, b in zip(r2s, r2s[1:])):
+        if np.any(r2[1:] > r2[:-1]):
             raise ValueError("frontier r2 values must be nonincreasing")
-
-    def r1_values(self) -> np.ndarray:
-        return np.array([pt.r1 for pt in self.frontier])
-
-    def r2_values(self) -> np.ndarray:
-        return np.array([pt.r2 for pt in self.frontier])
+        r1.flags.writeable = False
+        r2.flags.writeable = False
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "r2", r2)
 
     @property
     def max_r1(self) -> float:
-        return self.frontier[-1].r1
+        return float(self.r1[-1])
 
     @property
     def max_r2(self) -> float:
-        return self.frontier[0].r2
+        return float(self.r2[0])
 
 
 def _pareto_mask(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -69,19 +70,6 @@ def _pareto_mask(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return mask
 
 
-def pareto_filter(points) -> list[RatePair]:
-    """Drop dominated rate pairs; survivors come back stably sorted by r1."""
-    pts = list(points)
-    if not pts:
-        return []
-    r1 = np.array([pt.r1 for pt in pts])
-    r2 = np.array([pt.r2 for pt in pts])
-    mask = _pareto_mask(r1, r2)
-    survivors = [i for i in range(len(pts)) if mask[i]]
-    survivors.sort(key=lambda i: pts[i].r1)  # stable: ties keep input order
-    return [pts[i] for i in survivors]
-
-
 def _frontier(scheme: Scheme, r1: np.ndarray, r2: np.ndarray, n: int) -> RateRegion:
     mask = _pareto_mask(r1, r2)
     f1 = r1[mask]
@@ -92,41 +80,29 @@ def _frontier(scheme: Scheme, r1: np.ndarray, r2: np.ndarray, n: int) -> RateReg
     keep = np.empty(f1.size, dtype=bool)
     keep[0] = True
     np.not_equal(f1[1:], f1[:-1], out=keep[1:])  # collapse exact duplicates
-    points = tuple(
-        RatePair(float(a), float(b), scheme) for a, b in zip(f1[keep], f2[keep])
-    )
-    return RateRegion(scheme, points, n)
+    return RateRegion(scheme, f1[keep], f2[keep], n)
 
 
 def trace_region(scheme, lb: LinkBudget, n: int = 1000) -> RateRegion:
     """Frontier from an n-point sweep of the scheme's allocation parameters.
 
-    NOMA and RAMA-II sweep the power split p1/p over [0, 1] (endpoints
-    included); OMA sweeps the (bandwidth share, power split) product grid
-    and Pareto-filters it; RAMA-I has no free parameter and collapses to a
-    single point. NOMA decoding order follows the stronger user.
+    The power split p1/p runs over n points of [0, 1] (endpoints included).
+    OMA sweeps the (bandwidth share, power split) product grid; RAMA-I has
+    no free parameter and collapses to a single point. Reconfigurable NOMA
+    adds a beam share to the split and has no region here.
     """
     scheme = Scheme(scheme)
+    if scheme is Scheme.RECONFIG_NOMA:
+        raise ValueError(f"region tracing is not defined for scheme {scheme.value!r}")
     if n < 2:
         raise ValueError("grid resolution n must be >= 2")
-    p, g1, g2 = lb.p, lb.gamma1, lb.gamma2
+    p = lb.p
     t = np.linspace(0.0, 1.0, n)
-    if scheme is Scheme.NOMA:
-        r1, r2 = noma_pair_ordered(t * p, (1.0 - t) * p, g1, g2)
-    elif scheme is Scheme.RAMA2:
-        r1 = rama2_rate(t * p, g1)
-        r2 = rama2_rate((1.0 - t) * p, g2)
-    elif scheme is Scheme.RAMA1:
-        r1 = np.array([float(rama1_rate(p, g1))])
-        r2 = np.array([float(rama1_rate(p, g2))])
-    elif scheme is Scheme.OMA:
-        band, frac = np.meshgrid(t, t, indexing="ij")
-        r1 = oma_rate(frac * p, g1, band).ravel()
-        r2 = oma_rate((1.0 - frac) * p, g2, 1.0 - band).ravel()
-    else:
-        raise ValueError(f"region tracing is not defined for scheme {scheme.value!r}")
-    return _frontier(scheme, np.atleast_1d(np.asarray(r1, dtype=float)),
-                     np.atleast_1d(np.asarray(r2, dtype=float)), n)
+    band = None
+    if scheme is Scheme.OMA:
+        band, t = np.meshgrid(t, t, indexing="ij")
+    r1, r2 = SCHEMES[scheme](p, t * p, (1.0 - t) * p, lb.gamma1, lb.gamma2, band)
+    return _frontier(scheme, np.ravel(r1), np.ravel(r2), n)
 
 
 def r2_at_r1(region: RateRegion, r1_target: float) -> float:
@@ -136,8 +112,7 @@ def r2_at_r1(region: RateRegion, r1_target: float) -> float:
     (any rate below the frontier is achievable); targets beyond the
     frontier's reach are an error.
     """
-    f1 = region.r1_values()
-    f2 = region.r2_values()
+    f1, f2 = region.r1, region.r2
     if r1_target < 0.0 or r1_target > f1[-1]:
         raise ValueError(
             f"r1_target {r1_target!r} outside the frontier range [0, {f1[-1]!r}]"

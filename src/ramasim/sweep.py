@@ -17,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RngState, rayleigh_fades
-from .rates import (
-    Scheme,
-    noma_pair_ordered,
-    oma_rate,
-    rama1_rate,
-    rama2_rate,
-    reconfig_pair_ordered,
-)
+from .channel import RngState, db_to_linear, rayleigh_fades
+from .rates import SCHEMES, Scheme
 
 X_AXIS_SYMMETRIC = "symmetric_pgamma_db"
 X_AXIS_RATIO = "gain_ratio_db"
@@ -89,6 +82,19 @@ class SweepConfig:
         if any(not 0.0 <= t <= 1.0 for t in splits):
             raise ValueError("splits must lie in [0, 1]")
         object.__setattr__(self, "splits", splits)
+        # Every level run_sweep converts must lie in the dB domain. The grid
+        # is increasing, so its ends bound it; in ratio mode user 1 sits at
+        # x + ratio_anchor_db.
+        grid = self.resolved_grid()
+        ends = (grid[0], grid[-1])
+        levels = [("grid_db:", x) for x in ends] + [("ratio_anchor_db:", self.ratio_anchor_db)]
+        if self.x_axis == X_AXIS_RATIO:
+            levels += [("ratio_anchor_db: user 1", x + self.ratio_anchor_db) for x in ends]
+        for name, level in levels:
+            try:
+                db_to_linear(level)
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
 
     def resolved_grid(self) -> tuple:
         return self.grid_db if self.grid_db is not None else default_grid(self.x_axis)
@@ -110,20 +116,8 @@ class SweepResult:
 
 def _sum_rate(scheme: Scheme, g1, g2, split: float):
     """Array-capable sum rate at linear products (p*gamma1, p*gamma2), p = 1."""
-    p1, p2 = split, 1.0 - split
-    if scheme is Scheme.NOMA:
-        r1, r2 = noma_pair_ordered(p1, p2, g1, g2)
-    elif scheme is Scheme.RAMA1:
-        r1, r2 = rama1_rate(1.0, g1), rama1_rate(1.0, g2)
-    elif scheme is Scheme.RAMA2:
-        r1, r2 = rama2_rate(p1, g1), rama2_rate(p2, g2)
-    elif scheme is Scheme.OMA:
-        r1 = oma_rate(p1, g1, split)
-        r2 = oma_rate(p2, g2, 1.0 - split)
-    elif scheme is Scheme.RECONFIG_NOMA:
-        r1, r2 = reconfig_pair_ordered(p1, p2, g1, g2, RECONFIG_SWEEP_ALPHA)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    share = split if scheme is Scheme.OMA else RECONFIG_SWEEP_ALPHA
+    r1, r2 = SCHEMES[scheme](1.0, split, 1.0 - split, g1, g2, share)
     return r1 + r2
 
 
@@ -133,10 +127,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     rows = []
     for index, x_db in enumerate(grid):
         if cfg.x_axis == X_AXIS_SYMMETRIC:
-            g1 = g2 = 10.0 ** (x_db / 10.0)
+            g1 = g2 = db_to_linear(x_db)
         else:
-            g2 = 10.0 ** (cfg.ratio_anchor_db / 10.0)
-            g1 = 10.0 ** (x_db / 10.0) * g2
+            g2 = db_to_linear(cfg.ratio_anchor_db)
+            g1 = db_to_linear(x_db) * g2
         if cfg.fading is not None:
             rng = RngState(cfg.fading.seed).derive(index)
             count = cfg.fading.num_samples

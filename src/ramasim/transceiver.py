@@ -10,7 +10,6 @@ outputs to 1e-12 of the directly encoded symbols.
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelState
 from .constellations import relate
 
 
@@ -99,14 +98,3 @@ def rama2_presplit(s1: complex, s2: complex, alloc: PowerAllocation) -> complex:
     """Single-RF-chain signal ahead of the beam split: sqrt(p1 + p2*s_bar^2)*s1."""
     rel = relate(s1, s2)
     return math.sqrt(alloc.p1 + alloc.p2 * rel.s_bar**2) * s1
-
-
-def receive(incident: complex, ch: ChannelState, user: int, noise: complex = 0j) -> complex:
-    """Apply the selected user's channel gain and add the noise sample."""
-    if user == 1:
-        h = ch.h1
-    elif user == 2:
-        h = ch.h2
-    else:
-        raise ValueError(f"user must be 1 or 2, got {user!r}")
-    return incident * h + noise

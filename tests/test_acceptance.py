@@ -14,11 +14,10 @@ import ramasim.cli as cli
 from ramasim.channel import LinkBudget, from_db
 from ramasim.constellations import make_psk, make_qam
 from ramasim.rates import (
+    SCHEMES,
     Scheme,
-    noma_pair_ordered,
     noma_rates,
     noma_sum_symmetric,
-    rama1_rate,
     rama1_rates,
     rama1_sum_symmetric,
     reconfig_noma_rates,
@@ -77,8 +76,8 @@ def test_criterion_2_symmetric_corners_and_oma_noma_agreement():
         for region in (oma, noma, rama2):
             assert abs(region.max_r1 - corner) <= 1e-3
             assert abs(region.max_r2 - corner) <= 1e-3
-        n1, n2 = noma.r1_values(), noma.r2_values()
-        o1, o2 = oma.r1_values(), oma.r2_values()
+        n1, n2 = noma.r1, noma.r2
+        o1, o2 = oma.r1, oma.r2
         # the superposition frontier is the straight line r1 + r2 = cap;
         # the dense orthogonal staircase must match it at every vertex and
         # at every matched r1 in both directions
@@ -110,8 +109,8 @@ def test_criterion_4_asymmetric_equal_split_dominance():
         g = np.sort(10.0 ** (rng.uniform(-20.0, 40.0, (n, 2)) / 10.0), axis=1)
         g1, g2 = g[:, 1], g[:, 0]
         t = 0.5 * (1.0 - rng.random(n))  # splits in (0, 0.5]
-        noma_sum = np.sum(noma_pair_ordered(t, 1.0 - t, g1, g2), axis=0)
-        rama_sum = rama1_rate(1.0, g1) + rama1_rate(1.0, g2)
+        noma_sum = np.sum(SCHEMES[Scheme.NOMA](1.0, t, 1.0 - t, g1, g2, None), axis=0)
+        rama_sum = sum(SCHEMES[Scheme.RAMA1](1.0, 0.5, 0.5, g1, g2, None))
         assert np.all(rama_sum >= noma_sum)
         # spot-check the scalar api on a slice of the same draws
         for i in range(0, n, n // 2000):
@@ -124,8 +123,8 @@ def test_criterion_4_asymmetric_equal_split_dominance():
         alloc = PowerAllocation.from_fraction(1.0, 0.75)
         assert noma_rates(alloc, lb).sum_rate > rama1_rates(1.0, lb).sum_rate
         spread = 10.0 ** (rng.uniform(30.0, 40.0, 200) / 10.0)
-        wide_noma = np.sum(noma_pair_ordered(0.75, 0.25, spread, 1.0), axis=0)
-        wide_rama = rama1_rate(1.0, spread) + rama1_rate(1.0, 1.0)
+        wide_noma = np.sum(SCHEMES[Scheme.NOMA](1.0, 0.75, 0.25, spread, 1.0, None), axis=0)
+        wide_rama = sum(SCHEMES[Scheme.RAMA1](1.0, 0.5, 0.5, spread, 1.0, None))
         assert np.any(wide_noma > wide_rama)
 
 

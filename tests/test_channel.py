@@ -5,14 +5,12 @@ import pytest
 from scipy import stats
 
 from ramasim.channel import (
+    DB_LIMIT,
     RNG_ALGORITHM,
-    ChannelState,
     LinkBudget,
     RngState,
     from_db,
-    order_users,
     rayleigh_fades,
-    sample_rayleigh,
 )
 
 
@@ -39,6 +37,16 @@ def test_from_db_inverts_decibels():
         assert math.isclose(10 * math.log10(lb.pg2), db2, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_from_db_rejects_levels_outside_domain():
+    lb = from_db(DB_LIMIT, -DB_LIMIT)
+    assert lb.pg1 == 1e100 and lb.pg2 > 0.0
+    for db in (DB_LIMIT + 0.5, -4000.0, 4000.0, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            from_db(db, 0.0)
+        with pytest.raises(ValueError, match="outside"):
+            from_db(0.0, db)
+
+
 def test_symmetric_predicate_tolerance():
     assert LinkBudget(1.0, 2.0, 2.0).symmetric()
     assert LinkBudget(1.0, 2.0, 2.0 * (1 + 1e-12)).symmetric()
@@ -54,18 +62,10 @@ def test_link_budget_validation():
         LinkBudget(1.0, math.inf, 1.0)
 
 
-def test_channel_state_gammas():
-    ch = ChannelState(3 + 4j, 1j, 25.0, 0.5)
-    assert math.isclose(ch.gamma1, 1.0, rel_tol=1e-12)
-    assert math.isclose(ch.gamma2, 2.0, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        ChannelState(1 + 0j, 1 + 0j, 0.0, 1.0)
-
-
 def test_rng_streams_are_reproducible():
     a = RngState(42)
     b = RngState(42)
-    assert np.array_equal(a.uniform(16), b.uniform(16))
+    assert np.array_equal(a.standard_normal(16), b.standard_normal(16))
     assert np.array_equal(a.standard_normal(17), b.standard_normal(17))
 
 
@@ -90,7 +90,7 @@ def test_derive_matches_shifted_seed():
     derived = RngState(10).derive(5)
     fresh = RngState(15)
     assert derived.seed == 15
-    assert np.array_equal(derived.uniform(8), fresh.uniform(8))
+    assert np.array_equal(derived.standard_normal(8), fresh.standard_normal(8))
 
 
 def test_box_muller_moments():
@@ -118,23 +118,3 @@ def test_rayleigh_phase_uniform():
 def test_rayleigh_rejects_bad_parameters():
     with pytest.raises(ValueError):
         rayleigh_fades(RngState(0), 0.0, 4)
-    with pytest.raises(ValueError):
-        sample_rayleigh(RngState(0), 1.0, 1.0, 0.0)
-
-
-def test_sample_rayleigh_returns_channel_state():
-    ch = sample_rayleigh(RngState(1), 2.0, 0.5, 1.0)
-    assert isinstance(ch, ChannelState)
-    assert ch.sigma1_sq == 1.0 and ch.sigma2_sq == 1.0
-    assert ch.gamma1 >= 0.0 and ch.gamma2 >= 0.0
-
-
-def test_order_users_tie_prefers_user_one():
-    strong1 = ChannelState(2 + 0j, 1 + 0j, 1.0, 1.0)
-    strong2 = ChannelState(1 + 0j, 2 + 0j, 1.0, 1.0)
-    tied = ChannelState(1 + 1j, 1 - 1j, 1.0, 1.0)
-    assert order_users(strong1) == (1, 2)
-    assert order_users(strong2) == (2, 1)
-    assert order_users(tied) == (1, 2)
-    # idempotent: same answer on repeat evaluation
-    assert order_users(tied) == order_users(tied)

@@ -5,11 +5,11 @@ import pytest
 
 from ramasim.channel import LinkBudget, from_db
 from ramasim.rates import (
+    SCHEMES,
     RatePair,
     Scheme,
     case2_holds,
     case2_sufficient,
-    noma_pair_ordered,
     noma_rates,
     noma_sum_symmetric,
     oma_rates,
@@ -57,14 +57,39 @@ def test_noma_asymmetric_anchor_30_0():
 
 
 def test_noma_pair_ordered_mirrors_swapped_budget():
-    r1, r2 = noma_pair_ordered(0.3, 0.7, 1.0, 100.0)
-    m1, m2 = noma_pair_ordered(0.7, 0.3, 100.0, 1.0)
+    noma = SCHEMES[Scheme.NOMA]
+    r1, r2 = noma(1.0, 0.3, 0.7, 1.0, 100.0, None)
+    m1, m2 = noma(1.0, 0.7, 0.3, 100.0, 1.0, None)
     assert float(r1) == float(m2)
     assert float(r2) == float(m1)
     # tie: user 1 treated as strong, interference lands on user 2
-    t1, t2 = noma_pair_ordered(0.3, 0.7, 5.0, 5.0)
+    t1, t2 = noma(1.0, 0.3, 0.7, 5.0, 5.0, None)
     assert float(t1) == float(np.log2(1 + 0.3 * 5.0))
     assert float(t2) < float(np.log2(1 + 0.7 * 5.0))
+
+
+def test_scalar_noma_follows_sic_order():
+    # user 2 is the strong one here: it decodes interference free
+    pair = noma_rates(_alloc(1.0, 0.25), from_db(0.0, 30.0))
+    assert math.isclose(pair.r2, math.log2(1 + 0.75 * 1000.0), rel_tol=1e-12)
+    assert abs(pair.r2 - 9.553) <= 1e-3
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        g1, g2 = sorted(10 ** rng.uniform(-2, 4, size=2), reverse=True)
+        p = 10 ** rng.uniform(-1, 1)
+        p1 = p * rng.uniform(0.01, 0.99)
+        alloc, swapped = PowerAllocation(p, p1, p - p1), PowerAllocation(p, p - p1, p1)
+        lb, mirror = LinkBudget(p, g1, g2), LinkBudget(p, g2, g1)
+        pair, flipped = noma_rates(alloc, lb), noma_rates(swapped, mirror)
+        # gamma1 >= gamma2: the user-1-strong closed forms, bit for bit
+        assert pair.r1 == float(np.log2(1.0 + alloc.p1 * g1))
+        assert pair.r2 == float(np.log2(1.0 + alloc.p2 * g2 / (alloc.p1 * g2 + 1.0)))
+        assert (flipped.r1, flipped.r2) == (pair.r2, pair.r1)
+        alpha = rng.uniform(0.05, 0.95)
+        cut = reconfig_noma_rates(alloc, lb, alpha)
+        cut_flipped = reconfig_noma_rates(swapped, mirror, 1.0 - alpha)
+        assert math.isclose(cut_flipped.r1, cut.r2, rel_tol=1e-12)
+        assert math.isclose(cut_flipped.r2, cut.r1, rel_tol=1e-12)
 
 
 def test_reconfig_known_value():

@@ -4,50 +4,55 @@ import numpy as np
 import pytest
 
 from ramasim.channel import LinkBudget, from_db
-from ramasim.rates import RatePair, Scheme
-from ramasim.region import RateRegion, pareto_filter, r2_at_r1, trace_region
+from ramasim.rates import Scheme
+from ramasim.region import RateRegion, _pareto_mask, r2_at_r1, trace_region
 
 
-def _pt(r1, r2, scheme=Scheme.NOMA):
-    return RatePair(r1, r2, scheme)
+def _mask(points):
+    r1 = np.array([a for a, _ in points])
+    r2 = np.array([b for _, b in points])
+    return _pareto_mask(r1, r2).tolist()
 
 
 def test_pareto_filter_drops_dominated_points():
-    pts = [_pt(1.0, 1.0), _pt(2.0, 2.0), _pt(0.5, 3.0), _pt(2.0, 0.5)]
-    kept = pareto_filter(pts)
-    assert [(p.r1, p.r2) for p in kept] == [(0.5, 3.0), (2.0, 2.0)]
+    pts = [(1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (2.0, 0.5)]
+    assert _mask(pts) == [False, True, True, False]
 
 
 def test_pareto_filter_keeps_incomparable_points():
-    pts = [_pt(2.0, 1.0), _pt(1.0, 2.0), _pt(1.5, 1.5)]
-    kept = pareto_filter(pts)
-    assert [(p.r1, p.r2) for p in kept] == [(1.0, 2.0), (1.5, 1.5), (2.0, 1.0)]
+    pts = [(2.0, 1.0), (1.0, 2.0), (1.5, 1.5)]
+    assert _mask(pts) == [True, True, True]
 
 
 def test_pareto_filter_exact_duplicates_survive():
     # duplicates are >= in both coordinates but > in neither
-    pts = [_pt(1.0, 1.0), _pt(1.0, 1.0)]
-    assert len(pareto_filter(pts)) == 2
+    assert _mask([(1.0, 1.0), (1.0, 1.0)]) == [True, True]
+    assert _mask([(1.0, 1.0)]) == [True]
 
 
 def test_pareto_filter_equal_r1_keeps_only_max_r2():
-    pts = [_pt(1.0, 2.0), _pt(1.0, 1.0), _pt(0.5, 2.5)]
-    kept = pareto_filter(pts)
-    assert [(p.r1, p.r2) for p in kept] == [(0.5, 2.5), (1.0, 2.0)]
-
-
-def test_pareto_filter_empty_and_singleton():
-    assert pareto_filter([]) == []
-    assert [(p.r1, p.r2) for p in pareto_filter([_pt(1.0, 1.0)])] == [(1.0, 1.0)]
+    pts = [(1.0, 2.0), (1.0, 1.0), (0.5, 2.5)]
+    assert _mask(pts) == [True, False, True]
 
 
 def test_rate_region_invariant_checks():
     with pytest.raises(ValueError, match="strictly increasing"):
-        RateRegion(Scheme.NOMA, (_pt(1.0, 1.0), _pt(1.0, 0.5)), 2)
+        RateRegion(Scheme.NOMA, [1.0, 1.0], [1.0, 0.5], 2)
     with pytest.raises(ValueError, match="nonincreasing"):
-        RateRegion(Scheme.NOMA, (_pt(1.0, 1.0), _pt(2.0, 1.5)), 2)
+        RateRegion(Scheme.NOMA, [1.0, 2.0], [1.0, 1.5], 2)
     with pytest.raises(ValueError, match="nonempty"):
-        RateRegion(Scheme.NOMA, (), 2)
+        RateRegion(Scheme.NOMA, [], [], 2)
+    with pytest.raises(ValueError, match="equal length"):
+        RateRegion(Scheme.NOMA, [1.0, 2.0], [1.0], 2)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RateRegion(Scheme.NOMA, [0.0, 1.0], [1.0, bad], 2)
+    source = np.array([0.0, 1.0])
+    region = RateRegion(Scheme.NOMA, source, [2.0, 0.0], 2)
+    source[0] = 5.0  # the region keeps its own copy
+    assert region.r1.tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError):
+        region.r1[0] = 0.5
 
 
 def test_trace_region_rejects_unknown_and_untraceable_schemes():
@@ -63,11 +68,10 @@ def test_trace_region_rejects_unknown_and_untraceable_schemes():
 def test_rama1_region_is_single_point():
     lb = from_db(15.0, 15.0)
     region = trace_region(Scheme.RAMA1, lb, 1000)
-    assert len(region.frontier) == 1
-    pt = region.frontier[0]
+    assert region.r1.size == region.r2.size == 1
     expected = math.log2(1 + 10**1.5 / 2)
-    assert math.isclose(pt.r1, expected, rel_tol=1e-12)
-    assert math.isclose(pt.r2, expected, rel_tol=1e-12)
+    assert math.isclose(region.r1[0], expected, rel_tol=1e-12)
+    assert math.isclose(region.r2[0], expected, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.NOMA, Scheme.RAMA2, Scheme.OMA])
@@ -77,16 +81,16 @@ def test_symmetric_corners_reach_single_user_capacity(scheme):
     corner = math.log2(1 + 10**1.5)  # oracle: 5.0278076733505195
     assert abs(region.max_r1 - corner) <= 1e-9
     assert abs(region.max_r2 - corner) <= 1e-9
-    assert region.frontier[-1].r2 == 0.0
-    assert region.frontier[0].r1 == 0.0
+    assert region.r2[-1] == 0.0
+    assert region.r1[0] == 0.0
 
 
 def test_noma_symmetric_frontier_is_constant_sum():
     lb = from_db(15.0, 15.0)
     region = trace_region(Scheme.NOMA, lb, 500)
     total = math.log2(1 + lb.pg1)
-    for pt in region.frontier:
-        assert abs(pt.r1 + pt.r2 - total) <= 1e-10
+    for r1, r2 in zip(region.r1, region.r2):
+        assert abs(r1 + r2 - total) <= 1e-10
 
 
 def test_oma_frontier_matches_noma_line_when_symmetric():
@@ -96,7 +100,7 @@ def test_oma_frontier_matches_noma_line_when_symmetric():
     lb = from_db(15.0, 15.0)
     cap = math.log2(1.0 + 10.0**1.5)
     oma = trace_region(Scheme.OMA, lb, 1500)
-    gap = cap - (oma.r1_values() + oma.r2_values())
+    gap = cap - (oma.r1 + oma.r2)
     assert float(np.max(gap)) <= 1e-3
     assert float(np.min(gap)) >= -1e-9  # never above the capacity line
 
@@ -130,11 +134,12 @@ def test_region_containment_oma_noma_rama2():
         noma = trace_region(Scheme.NOMA, lb, 500)
         oma = trace_region(Scheme.OMA, lb, 500)
         rama2 = trace_region(Scheme.RAMA2, lb, 500)
-        for pt in oma.frontier[:: max(1, len(oma.frontier) // 200)]:
-            if pt.r1 <= noma.max_r1:
-                assert r2_at_r1(noma, pt.r1) >= pt.r2 - 1e-3
-        for pt in noma.frontier:
-            assert r2_at_r1(rama2, pt.r1) >= pt.r2 - 1e-9
+        step = max(1, oma.r1.size // 200)
+        for r1, r2 in zip(oma.r1[::step], oma.r2[::step]):
+            if r1 <= noma.max_r1:
+                assert r2_at_r1(noma, r1) >= r2 - 1e-3
+        for r1, r2 in zip(noma.r1, noma.r2):
+            assert r2_at_r1(rama2, r1) >= r2 - 1e-9
 
 
 def test_rama2_widens_noma_by_about_twice_at_mid_rate():
@@ -145,8 +150,8 @@ def test_rama2_widens_noma_by_about_twice_at_mid_rate():
     rama2 = trace_region(Scheme.RAMA2, lb, 2000)
 
     def r1_at_r2(region, target):
-        f2 = region.r2_values()[::-1]
-        f1 = region.r1_values()[::-1]
+        f2 = region.r2[::-1]
+        f1 = region.r1[::-1]
         return float(np.interp(target, f2, f1))
 
     ratio = r1_at_r2(rama2, 2.5) / r1_at_r2(noma, 2.5)
@@ -167,7 +172,7 @@ def test_r2_at_r1_endpoints_and_range():
     lb = from_db(15.0, 15.0)
     region = trace_region(Scheme.NOMA, lb, 300)
     assert r2_at_r1(region, 0.0) == region.max_r2
-    assert r2_at_r1(region, region.max_r1) == region.frontier[-1].r2
+    assert r2_at_r1(region, region.max_r1) == region.r2[-1]
     single = trace_region(Scheme.RAMA1, lb, 300)
     assert r2_at_r1(single, 0.0) == single.max_r2
     with pytest.raises(ValueError, match="outside"):

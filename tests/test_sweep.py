@@ -39,6 +39,12 @@ def test_config_validation_messages_name_fields():
         SweepConfig(schemes=(Scheme.NOMA,), splits=())
     with pytest.raises(ValueError, match="splits"):
         SweepConfig(schemes=(Scheme.NOMA,), splits=(1.5,))
+    with pytest.raises(ValueError, match="grid_db: level 1000.5 dB outside"):
+        SweepConfig(schemes=(Scheme.NOMA,), grid_db=(0.0, 1000.5))
+    with pytest.raises(ValueError, match="ratio_anchor_db: level"):
+        SweepConfig(schemes=(Scheme.NOMA,), ratio_anchor_db=-1000.5)
+    with pytest.raises(ValueError, match="ratio_anchor_db: user 1 level 1010.0 dB"):
+        SweepConfig(schemes=(Scheme.NOMA,), x_axis=X_AXIS_RATIO, ratio_anchor_db=970.0)
     with pytest.raises(ValueError, match="num_samples"):
         FadingConfig(0)
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ramasim.channel import ChannelState
 from ramasim.constellations import make_psk, make_qam
 from ramasim.transceiver import (
     PowerAllocation,
@@ -11,7 +10,6 @@ from ramasim.transceiver import (
     rama1_transmit,
     rama2_presplit,
     rama2_transmit,
-    receive,
     reconfig_noma_split,
     superpose,
 )
@@ -156,16 +154,6 @@ def test_rama2_rejects_zero_reference_symbol():
     alloc = PowerAllocation.from_fraction(1.0, 0.5)
     with pytest.raises(ValueError, match="zero reference"):
         rama2_transmit(0j, 1 + 0j, alloc)
-
-
-def test_receive_applies_gain_and_noise():
-    ch = ChannelState(2 - 1j, 0.5j, 1.0, 1.0)
-    incident = 0.3 + 0.4j
-    noise = 0.01 - 0.02j
-    assert receive(incident, ch, 1, noise) == incident * (2 - 1j) + noise
-    assert receive(incident, ch, 2) == incident * 0.5j
-    with pytest.raises(ValueError, match="user"):
-        receive(incident, ch, 3)
 
 
 def test_tx_signal_total_power():
