@@ -28,7 +28,7 @@ from .sweep import (
     X_AXIS_SYMMETRIC,
     run_sweep,
 )
-from .transceiver import PowerAllocation, rama1_transmit, rama2_presplit, rama2_transmit
+from .transceiver import verify_chain
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -37,6 +37,12 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 SIGNAL_TOL = 1e-12
+
+# Size caps: every input ends in output or a one-line config error, never
+# in a hang or an allocation that exhausts memory. signal-check holds about
+# a dozen order^2 float planes (qam-1024 rama2: ~1.7 s, ~110 MB peak RSS).
+MAX_ORDER = 1024
+MAX_GRID_POINTS = 10_000  # sweep grid points; each is one row per scheme and split
 
 REGION_SCHEMES = (Scheme.OMA, Scheme.NOMA, Scheme.RAMA1, Scheme.RAMA2)
 SWEEP_SCHEMES = tuple(Scheme)
@@ -281,7 +287,10 @@ def _cmd_region(args) -> int:
     lines = _metadata_lines("region", REGION_TABLE, params)
     lines.append("scheme,r1_bits,r2_bits")
     for scheme in params["schemes"]:
-        region = trace_region(scheme, lb, params["grid_n"])
+        try:
+            region = trace_region(scheme, lb, params["grid_n"])
+        except ValueError as exc:
+            raise ConfigError(f"grid_n: {exc}") from None
         for r1, r2 in zip(region.r1.tolist(), region.r2.tolist()):
             lines.append(f"{scheme.value},{_fmt(r1)},{_fmt(r2)}")
     _write_output(args.out, lines)
@@ -293,7 +302,13 @@ def _build_grid(start: float, stop: float, step: float) -> tuple:
         raise ConfigError("grid_step_db must be positive")
     if stop < start:
         raise ConfigError("grid_stop_db must be >= grid_start_db")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9  # may be huge or infinite: cap it before int()
+    if span >= MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid_step_db: {step!r} gives more than {MAX_GRID_POINTS} grid points "
+            f"from {start!r} to {stop!r} dB"
+        )
+    count = int(math.floor(span)) + 1
     return tuple(start + i * step for i in range(count))
 
 
@@ -308,7 +323,10 @@ def _cmd_sweep(args) -> int:
     )
     fading = None
     if params["fading_samples"] > 0:
-        fading = FadingConfig(params["fading_samples"], params["seed"])
+        try:
+            fading = FadingConfig(params["fading_samples"], params["seed"])
+        except ValueError as exc:
+            raise ConfigError(f"fading_samples: {exc}") from None
     x_axis = X_AXIS_SYMMETRIC if params["mode"] == "symmetric" else X_AXIS_RATIO
     try:
         cfg = SweepConfig(
@@ -344,45 +362,31 @@ def _cmd_signal_check(args) -> int:
             "scheme: rama1 requires a psk constellation "
             "(equal power split cannot realize an amplitude ratio)"
         )
+    if params["order"] > MAX_ORDER:
+        raise ConfigError(f"order: {params['order']} is above the cap of {MAX_ORDER}")
     try:
         const = make_psk(params["order"]) if kind == PSK else make_qam(params["order"])
     except ValueError as exc:
         raise ConfigError(f"order: {exc}") from None
 
     p = params["total_power"]
-    pairs = [(s1, s2) for s1 in const.points for s2 in const.points]
+    errors = verify_chain(const, scheme, params["splits"], p)
     lines = [
         f"ramasim signal-check v{__version__}",
         f"scheme={scheme.value} constellation={kind}-{params['order']} "
-        f"pairs={len(pairs)} p={_fmt(p)}",
+        f"pairs={params['order'] ** 2} p={_fmt(p)}",
     ]
-    worst = 0.0
     if scheme is Scheme.RAMA1:
-        amp = math.sqrt(0.5 * p)
-        chain = max(abs(rama1_transmit(s1, s2, p).tsa2 - amp * s2) for s1, s2 in pairs)
-        mean_power = math.fsum(
-            rama1_transmit(s1, s2, p).total_power() for s1, s2 in pairs
-        ) / len(pairs)
-        power = abs(mean_power - p)
-        worst = max(chain, power)
+        ((chain, power),) = errors
         lines.append(f"  beam-2 equivalence: max |tsa2 - direct| = {chain:.3e}")
         lines.append(f"  average transmit power: |mean - p| = {power:.3e}")
     else:
-        for split in params["splits"]:
-            alloc = PowerAllocation.from_fraction(p, split)
-            amp2 = math.sqrt(alloc.p2)
-            chain = max(
-                abs(rama2_transmit(s1, s2, alloc).tsa2 - amp2 * s2) for s1, s2 in pairs
-            )
-            mean_power = math.fsum(
-                abs(rama2_presplit(s1, s2, alloc)) ** 2 for s1, s2 in pairs
-            ) / len(pairs)
-            power = abs(mean_power - p)
-            worst = max(worst, chain, power)
+        for split, (chain, power) in zip(params["splits"], errors):
             lines.append(
                 f"  split {_fmt(split)}: max |tsa2 - direct| = {chain:.3e}, "
                 f"|mean power - p| = {power:.3e}"
             )
+    worst = max(max(pair) for pair in errors)
     ok = worst <= SIGNAL_TOL
     lines.append(f"max |error| = {worst:.3e} (tolerance {SIGNAL_TOL:g})")
     lines.append("result: PASS" if ok else "result: FAIL")

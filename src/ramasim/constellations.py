@@ -45,11 +45,8 @@ class Constellation:
             for s in self.points:
                 if s == 0:
                     raise ValueError("QAM points must not include the origin")
-        pts = self.points
-        for i in range(len(pts)):
-            for k in range(i + 1, len(pts)):
-                if pts[i] == pts[k]:
-                    raise ValueError("constellation points must be pairwise distinct")
+        if len(set(self.points)) != self.order:
+            raise ValueError("constellation points must be pairwise distinct")
 
     def average_power(self) -> float:
         return math.fsum(abs(s) ** 2 for s in self.points) / self.order

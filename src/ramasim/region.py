@@ -7,6 +7,10 @@ import numpy as np
 from .channel import LinkBudget
 from .rates import SCHEMES, Scheme
 
+# Allocation points one trace may evaluate: n^2 for OMA, n otherwise. Each
+# point costs about a dozen float64 planes (OMA n = 2048: ~0.4 GB peak RSS).
+MAX_REGION_POINTS = 2**22
+
 
 @dataclass(frozen=True, eq=False)
 class RateRegion:
@@ -96,6 +100,12 @@ def trace_region(scheme, lb: LinkBudget, n: int = 1000) -> RateRegion:
         raise ValueError(f"region tracing is not defined for scheme {scheme.value!r}")
     if n < 2:
         raise ValueError("grid resolution n must be >= 2")
+    points = n * n if scheme is Scheme.OMA else n
+    if points > MAX_REGION_POINTS:
+        raise ValueError(
+            f"n = {n} gives {points} {scheme.value} allocation points, "
+            f"above the cap of {MAX_REGION_POINTS}"
+        )
     p = lb.p
     t = np.linspace(0.0, 1.0, n)
     band = None

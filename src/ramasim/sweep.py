@@ -27,6 +27,10 @@ DEFAULT_SPLITS = (0.25, 0.5, 0.75)
 
 RECONFIG_SWEEP_ALPHA = 0.5
 
+# Each grid point draws 4 * num_samples normals and evaluates rates on
+# num_samples-element arrays; 10^6 keeps that near 100 MB.
+MAX_FADING_SAMPLES = 1_000_000
+
 
 def default_grid(x_axis: str) -> tuple[float, ...]:
     """1 dB steps: -10..40 dB for symmetric sweeps, 0..40 dB for ratio sweeps.
@@ -48,6 +52,11 @@ class FadingConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("fading num_samples must be >= 1")
+        if self.num_samples > MAX_FADING_SAMPLES:
+            raise ValueError(
+                f"fading num_samples {self.num_samples} is above the cap of "
+                f"{MAX_FADING_SAMPLES}"
+            )
 
 
 @dataclass(frozen=True)

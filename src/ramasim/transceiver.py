@@ -4,13 +4,23 @@ Covers classic superposition coding, beam power division, and the
 phase-rotation chains that synthesize the second user's symbol on its own
 antenna beam from a single upconverted reference symbol. Amplitudes here
 are exact algebra on complex scalars; acceptance checks hold the chain
-outputs to 1e-12 of the directly encoded symbols.
+outputs to 1e-12 of the directly encoded symbols. `verify_chain` runs the
+RAMA chains over every ordered symbol pair of a constellation at once, on
+numpy float planes, with the same bits as the scalar chains.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .constellations import relate
+import numpy as np
+
+from .constellations import TWO_PI, Constellation, relate
+
+RAMA1_MODULUS_ERROR = (
+    "PSK-modulus symbols required: |s1| != |s2|, and an equal power "
+    "split with a pure phase rotation cannot change amplitude"
+)
 
 
 @dataclass(frozen=True)
@@ -76,10 +86,7 @@ def rama1_transmit(s1: complex, s2: complex, p: float) -> TxSignal:
     """
     rel = relate(s1, s2)
     if rel.s_bar != 1.0:
-        raise ValueError(
-            "PSK-modulus symbols required: |s1| != |s2|, and an equal power "
-            "split with a pure phase rotation cannot change amplitude"
-        )
+        raise ValueError(RAMA1_MODULUS_ERROR)
     amp = math.sqrt(0.5 * p)
     return TxSignal(amp * s1, amp * rel.apply(s1))
 
@@ -98,3 +105,87 @@ def rama2_presplit(s1: complex, s2: complex, alloc: PowerAllocation) -> complex:
     """Single-RF-chain signal ahead of the beam split: sqrt(p1 + p2*s_bar^2)*s1."""
     rel = relate(s1, s2)
     return math.sqrt(alloc.p1 + alloc.p2 * rel.s_bar**2) * s1
+
+
+# --- all-pairs chain check ----------------------------------------------------
+# Row i of every M x M plane holds s1 = points[i], column k holds s2 =
+# points[k]. The report prints errors near 1e-16, so each step repeats the
+# scalar chain's floating-point operations exactly. numpy's complex abs and
+# product, arctan2 and array-exponent power round differently from Python's,
+# and Python's x ** 2 (libm pow) is not always x * x. Hence moduli and
+# phases come from Python per point, products are spelled out in real
+# planes, |.| is np.hypot, and squares go through Python's ** one row at a
+# time.
+
+
+def _scale(a, re, im):
+    """Real-by-complex product as Python forms it: (a + 0j) * (re + j*im).
+
+    IEEE + and * commute, so this is also (re + j*im) * (a + 0j).
+    """
+    return a * re - 0.0 * im, a * im + 0.0 * re
+
+
+def _max_gap(amp, re, im, re2, im2) -> float:
+    """max |amp*(re + j*im) - amp*s2| over all pairs; s2 = re2 + j*im2 per column."""
+    tr, ti = _scale(amp, re, im)
+    dr, di = _scale(amp, re2, im2)
+    return float(np.hypot(tr - dr, ti - di).max())
+
+
+def verify_chain(constellation: Constellation, scheme, splits, p: float) -> tuple:
+    """Worst chain and power errors of a RAMA scheme over all M^2 symbol pairs.
+
+    For 'rama2' this returns one (max |tsa2 - direct|, |mean power - p|) pair
+    per split p1/p: tsa2 from `rama2_transmit`, direct = sqrt(p2)*s2, and the
+    mean of |`rama2_presplit`|^2. For 'rama1' the split is fixed at one half,
+    `splits` is unused, and the single pair uses `rama1_transmit` and its
+    `total_power`; a pair of unequal moduli raises the same ValueError as
+    `rama1_transmit`. Every value equals the scalar chains' result bit for bit.
+    """
+    if scheme not in ("rama1", "rama2"):
+        raise ValueError(f"no transmit chain to verify for scheme {scheme!r}")
+    points = constellation.points
+    pairs = len(points) ** 2
+    re = np.array([s.real for s in points])
+    im = np.array([s.imag for s in points])
+    re1, im1 = re[:, None], im[:, None]
+    modulus = np.array([abs(s) for s in points])
+    phase = np.array([cmath.phase(s) for s in points])
+
+    # relate(s1, s2) on every pair
+    s_bar = modulus / modulus[:, None]
+    s_bar[np.abs(s_bar - 1.0) < 1e-12] = 1.0
+    delta = np.mod(phase - phase[:, None], TWO_PI)
+    delta[delta >= TWO_PI] -= TWO_PI
+    if scheme == "rama1" and not np.all(s_bar == 1.0):
+        raise ValueError(RAMA1_MODULUS_ERROR)
+
+    # rel.apply(s1) = (s1 * s_bar) * (cos(delta) + j*sin(delta))
+    x, y = _scale(s_bar, re1, im1)
+    cos, sin = np.cos(delta), np.sin(delta)
+    ar, ai = x * cos - y * sin, x * sin + y * cos
+    del x, y, cos, sin, delta
+
+    if scheme == "rama1":
+        amp = math.sqrt(0.5 * p)
+        chain = _max_gap(amp, ar, ai, re, im)
+        tsa1_power = [abs(amp * s) ** 2 for s in points]
+        tsa2_abs = np.hypot(*_scale(amp, ar, ai))
+        total = math.fsum(
+            a + v**2 for a, row in zip(tsa1_power, tsa2_abs) for v in row.tolist()
+        )
+        return ((chain, abs(total / pairs - p)),)
+
+    s_bar_sq = np.empty_like(s_bar)
+    for out, row in zip(s_bar_sq, s_bar):
+        out[:] = [v**2 for v in row.tolist()]
+    errors = []
+    for split in splits:
+        alloc = PowerAllocation.from_fraction(p, split)
+        chain = _max_gap(math.sqrt(alloc.p2), ar, ai, re, im)
+        presplit_amp = np.sqrt(alloc.p1 + alloc.p2 * s_bar_sq)
+        presplit_abs = np.hypot(*_scale(presplit_amp, re1, im1))
+        total = math.fsum(v**2 for row in presplit_abs for v in row.tolist())
+        errors.append((chain, abs(total / pairs - p)))
+    return tuple(errors)

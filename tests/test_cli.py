@@ -32,6 +32,16 @@ def _run_process(argv):
     )
 
 
+def _assert_one_line_config_error(argv, key):
+    proc = _run_process(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"ramasim: config error: {key}: ")
+
+
 def _read_rows(path):
     with open(path, newline="") as handle:
         lines = [ln for ln in handle if not ln.startswith("#")]
@@ -311,13 +321,41 @@ def test_sweep_rejects_bad_grid(capsys):
     ],
 )
 def test_db_levels_outside_domain_are_config_errors(argv, key):
-    proc = _run_process(argv)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"ramasim: config error: {key}: ")
+    _assert_one_line_config_error(argv, key)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["signal-check", "--constellation", "psk", "--order", "100000",
+          "--scheme", "rama1"], "order"),
+        (["sweep", "--grid-step-db", "1e-12"], "grid_step_db"),
+        (["sweep", "--grid-step-db", "5e-324"], "grid_step_db"),
+        (["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "oma",
+          "--grid-n", "100000"], "grid_n"),
+        (["sweep", "--fading-samples", "100000000"], "fading_samples"),
+    ],
+)
+def test_size_caps_are_config_errors(argv, key):
+    _assert_one_line_config_error(argv, key)
+
+
+def test_sweep_grid_cap_is_exact():
+    # 0.25 dB steps are exact in binary, so the point count is exact too.
+    step = 0.25
+    top = (cli.MAX_GRID_POINTS - 1) * step
+    assert len(cli._build_grid(0.0, top, step)) == cli.MAX_GRID_POINTS
+    with pytest.raises(cli.ConfigError, match="grid_step_db"):
+        cli._build_grid(0.0, top + step, step)
+
+
+def test_signal_check_order_cap_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_ORDER", 16)
+    argv = ["signal-check", "--constellation", "psk", "--scheme", "rama1", "--order"]
+    assert _run(argv + ["16"], capsys)[0] == 0
+    code, _out, err = _run(argv + ["17"], capsys)
+    assert code == 2
+    assert "order: 17 is above the cap of 16" in err
 
 
 def test_db_domain_edges_give_finite_rates(capsys):

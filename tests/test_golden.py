@@ -1,10 +1,12 @@
-"""Byte-for-byte replay of CSVs recorded under tests/golden/.
+"""Byte-for-byte replay of outputs recorded under tests/golden/.
 
-The fixtures pin the exact output of the region and sweep commands, so a
-refactor of the rate, region or sweep layers that changes any printed
-digit, row order or config-echo line fails here. Never regenerate them to
-make this test pass: a mismatch means the code under test changed its
-numbers.
+The fixtures pin the exact output of the region and sweep commands (CSV
+files) and of signal-check (reports on stdout), so a refactor of the rate,
+region, sweep or transmit-chain layers that changes any printed digit, row
+order or config-echo line fails here. The signal-check reports print
+rounding errors near 1e-16, so they also pin the chain arithmetic bit for
+bit. Never regenerate them to make this test pass: a mismatch means the
+code under test changed its numbers.
 """
 
 from pathlib import Path
@@ -39,3 +41,29 @@ def test_cli_output_matches_golden_bytes(name, tmp_path):
     out = tmp_path / name
     assert cli.main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+SIGNAL_CASES = {
+    "signal_qam64_rama2.txt": [
+        "signal-check", "--constellation", "qam", "--order", "64",
+        "--scheme", "rama2", "--total-power", "1.859",
+    ],
+    "signal_psk128_rama1.txt": [
+        "signal-check", "--constellation", "psk", "--order", "128",
+        "--scheme", "rama1", "--total-power", "0.742",
+    ],
+    "signal_qam16_rama2_splits.txt": [
+        "signal-check", "--constellation", "qam", "--order", "16",
+        "--scheme", "rama2", "--splits", "0,0.25,1",
+    ],
+    "signal_psk8_rama2.txt": [
+        "signal-check", "--constellation", "psk", "--order", "8", "--scheme", "rama2",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNAL_CASES))
+def test_signal_check_matches_golden_report(name, capsys):
+    assert cli.main(SIGNAL_CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

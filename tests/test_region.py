@@ -5,6 +5,7 @@ import pytest
 
 from ramasim.channel import LinkBudget, from_db
 from ramasim.rates import Scheme
+import ramasim.region as region_module
 from ramasim.region import RateRegion, _pareto_mask, r2_at_r1, trace_region
 
 
@@ -179,3 +180,14 @@ def test_r2_at_r1_endpoints_and_range():
         r2_at_r1(region, region.max_r1 + 0.1)
     with pytest.raises(ValueError, match="outside"):
         r2_at_r1(region, -0.5)
+
+
+def test_trace_region_caps_allocation_points(monkeypatch):
+    monkeypatch.setattr(region_module, "MAX_REGION_POINTS", 100)
+    lb = from_db(10.0, 10.0)
+    assert trace_region("oma", lb, 10).grid_resolution == 10  # 100 points
+    assert trace_region("noma", lb, 100).grid_resolution == 100
+    with pytest.raises(ValueError, match="n = 11 gives 121 oma allocation points"):
+        trace_region("oma", lb, 11)
+    with pytest.raises(ValueError, match="n = 101 gives 101 noma allocation points"):
+        trace_region("noma", lb, 101)

@@ -5,6 +5,7 @@ import pytest
 from ramasim.rates import Scheme
 from ramasim.sweep import (
     DEFAULT_SPLITS,
+    MAX_FADING_SAMPLES,
     FadingConfig,
     SweepConfig,
     X_AXIS_RATIO,
@@ -47,6 +48,9 @@ def test_config_validation_messages_name_fields():
         SweepConfig(schemes=(Scheme.NOMA,), x_axis=X_AXIS_RATIO, ratio_anchor_db=970.0)
     with pytest.raises(ValueError, match="num_samples"):
         FadingConfig(0)
+    assert FadingConfig(MAX_FADING_SAMPLES).num_samples == MAX_FADING_SAMPLES
+    with pytest.raises(ValueError, match="above the cap"):
+        FadingConfig(MAX_FADING_SAMPLES + 1)
 
 
 def test_config_accepts_scheme_tokens():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramasim.constellations import make_psk, make_qam
 from ramasim.transceiver import (
@@ -12,6 +14,7 @@ from ramasim.transceiver import (
     rama2_transmit,
     reconfig_noma_split,
     superpose,
+    verify_chain,
 )
 
 
@@ -159,3 +162,69 @@ def test_rama2_rejects_zero_reference_symbol():
 def test_tx_signal_total_power():
     tx = TxSignal(3 + 0j, 4j)
     assert math.isclose(tx.total_power(), 25.0, rel_tol=1e-12)
+
+
+# --- verify_chain against the scalar chains -----------------------------------
+
+
+def _scalar_chain(const, scheme, splits, p):
+    """verify_chain's contract as a loop of scalar chain calls over every pair."""
+    pairs = [(s1, s2) for s1 in const.points for s2 in const.points]
+    if scheme == "rama1":
+        amp = math.sqrt(0.5 * p)
+        chain = max(abs(rama1_transmit(s1, s2, p).tsa2 - amp * s2) for s1, s2 in pairs)
+        total = math.fsum(rama1_transmit(s1, s2, p).total_power() for s1, s2 in pairs)
+        return ((chain, abs(total / len(pairs) - p)),)
+    errors = []
+    for split in splits:
+        alloc = PowerAllocation.from_fraction(p, split)
+        amp2 = math.sqrt(alloc.p2)
+        chain = max(abs(rama2_transmit(s1, s2, alloc).tsa2 - amp2 * s2) for s1, s2 in pairs)
+        total = math.fsum(abs(rama2_presplit(s1, s2, alloc)) ** 2 for s1, s2 in pairs)
+        errors.append((chain, abs(total / len(pairs) - p)))
+    return tuple(errors)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def _chain_setups(draw):
+    if draw(st.booleans()):
+        const = make_psk(draw(st.integers(2, 256)))
+    else:
+        const = make_qam((2 * draw(st.integers(1, 8))) ** 2)  # 4, 16, ..., 256
+    scheme = draw(st.sampled_from(["rama1", "rama2"]))
+    splits = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=3
+    ))
+    return const, scheme, tuple(splits), draw(st.floats(0.01, 100.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_chain_setups())
+# s_bar ** 2 as s_bar * s_bar changes the power error of this one.
+@example((make_qam(64), "rama2", (0.15,), 23.2))
+def test_verify_chain_equals_scalar_chains_bit_for_bit(setup):
+    # Exact equality: the signal-check report prints these ~1e-16 errors.
+    # rama1 on QAM above order 4 mixes moduli, so both must raise alike.
+    assert _outcome(verify_chain, *setup) == _outcome(_scalar_chain, *setup)
+
+
+@pytest.mark.parametrize("order", [16, 64])
+def test_verify_chain_rama1_rejects_unequal_moduli_like_rama1_transmit(order):
+    const = make_qam(order)
+    with pytest.raises(ValueError) as scalar:
+        rama1_transmit(const.points[0], const.points[1], 1.0)
+    with pytest.raises(ValueError) as vectorized:
+        verify_chain(const, "rama1", (0.5,), 1.0)
+    assert str(vectorized.value) == str(scalar.value)
+
+
+def test_verify_chain_rejects_schemes_without_a_chain():
+    with pytest.raises(ValueError, match="noma"):
+        verify_chain(make_psk(4), "noma", (0.5,), 1.0)
