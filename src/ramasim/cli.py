@@ -12,6 +12,7 @@ check), 2 configuration error.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -43,6 +44,10 @@ SIGNAL_TOL = 1e-12
 # a dozen order^2 float planes (qam-1024 rama2: ~1.7 s, ~110 MB peak RSS).
 MAX_ORDER = 1024
 MAX_GRID_POINTS = 10_000  # sweep grid points; each is one row per scheme and split
+# signal-check squares chain amplitudes up to about 1e3 * total_power
+# (qam-1024's largest squared amplitude ratio is 961); capping the power at
+# 1e100 keeps every square finite, as channel.DB_LIMIT does for the gains.
+MAX_TOTAL_POWER = 1e100
 
 REGION_SCHEMES = (Scheme.OMA, Scheme.NOMA, Scheme.RAMA1, Scheme.RAMA2)
 SWEEP_SCHEMES = tuple(Scheme)
@@ -355,6 +360,10 @@ def _cmd_signal_check(args) -> int:
     params = _merge_params("signal-check", CHECK_TABLE, args)
     if params["total_power"] <= 0.0:
         raise ConfigError("total_power must be positive")
+    if params["total_power"] > MAX_TOTAL_POWER:
+        raise ConfigError(
+            f"total_power: {params['total_power']!r} is above the cap of {MAX_TOTAL_POWER:g}"
+        )
     kind = params["constellation"]
     scheme = params["scheme"]
     if scheme is Scheme.RAMA1 and kind != PSK:
@@ -397,7 +406,13 @@ def _cmd_signal_check(args) -> int:
 # --- entry points ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.
+
+    ``parse_args`` leaves the parser as it was and returns a fresh namespace
+    on every call, so one tree serves any number of ``main`` calls.
+    """
     parser = argparse.ArgumentParser(
         prog="ramasim",
         description="Two-user downlink multiple-access rate experiments.",

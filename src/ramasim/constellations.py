@@ -34,6 +34,9 @@ class Constellation:
             raise ValueError(f"unknown constellation kind {self.kind!r}")
         if len(self.points) != self.order:
             raise ValueError("number of points must equal the order")
+        for s in self.points:
+            if not cmath.isfinite(s):
+                raise ValueError(f"constellation point {s!r} is not finite")
         power = self.average_power()
         if abs(power - 1.0) > _POWER_TOL:
             raise ValueError(f"average power {power!r} is not 1 within {_POWER_TOL}")

@@ -3,10 +3,14 @@
 Two x-axis modes: `symmetric_pgamma_db` drives both users' p*gamma
 through the same level, `gain_ratio_db` fixes user 2 at an anchor level
 and sweeps the gain ratio (so user 1 is at least as strong for ratios
->= 0 dB). A row is emitted per (grid point, scheme, split). With fading
+>= 0 dB). A row is emitted per (grid point, scheme, split), in that
+order. Each grid point's linear gains come from a scalar `db_to_linear`.
+Without fading, the gains are stacked into one array per user and each
+(scheme, split) is evaluated once over the whole grid. With fading
 enabled, each grid point draws its own Rayleigh realizations from a
-stream seeded `seed + grid_index`; the same realizations are shared by
-every scheme and split at that point.
+stream seeded `seed + grid_index` and is evaluated on its own, so memory
+stays bounded per point (`MAX_FADING_SAMPLES`); the same realizations are
+shared by every scheme and split at that point.
 
 Scheme parameters the sweep fixes: OMA ties the bandwidth share to the
 power split, and reconfigurable-antenna NOMA uses an equal beam split.
@@ -130,29 +134,43 @@ def _sum_rate(scheme: Scheme, g1, g2, split: float):
     return r1 + r2
 
 
+def _point_gains(cfg: SweepConfig, x_db: float) -> tuple:
+    """Linear (p*gamma1, p*gamma2) at one grid level, as Python floats."""
+    if cfg.x_axis == X_AXIS_SYMMETRIC:
+        g = db_to_linear(x_db)
+        return g, g
+    g2 = db_to_linear(cfg.ratio_anchor_db)
+    return db_to_linear(x_db) * g2, g2
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the configured schemes over the grid; deterministic per seed."""
     grid = cfg.resolved_grid()
+    gains = [_point_gains(cfg, x_db) for x_db in grid]
+    if cfg.fading is None:
+        g1 = np.array([g for g, _ in gains])
+        g2 = np.array([g for _, g in gains])
+        curves = [
+            [_sum_rate(scheme, g1, g2, split).tolist() for split in cfg.splits]
+            for scheme in cfg.schemes
+        ]
+        rows = [
+            SweepRow(float(x_db), scheme, split, curves[i][j][index], 0.0)
+            for index, x_db in enumerate(grid)
+            for i, scheme in enumerate(cfg.schemes)
+            for j, split in enumerate(cfg.splits)
+        ]
+        return SweepResult(tuple(rows))
+    count = cfg.fading.num_samples
     rows = []
-    for index, x_db in enumerate(grid):
-        if cfg.x_axis == X_AXIS_SYMMETRIC:
-            g1 = g2 = db_to_linear(x_db)
-        else:
-            g2 = db_to_linear(cfg.ratio_anchor_db)
-            g1 = db_to_linear(x_db) * g2
-        if cfg.fading is not None:
-            rng = RngState(cfg.fading.seed).derive(index)
-            count = cfg.fading.num_samples
-            fade1 = np.abs(rayleigh_fades(rng, g1, count)) ** 2
-            fade2 = np.abs(rayleigh_fades(rng, g2, count)) ** 2
+    for index, (x_db, (g1, g2)) in enumerate(zip(grid, gains)):
+        rng = RngState(cfg.fading.seed).derive(index)
+        fade1 = np.abs(rayleigh_fades(rng, g1, count)) ** 2
+        fade2 = np.abs(rayleigh_fades(rng, g2, count)) ** 2
         for scheme in cfg.schemes:
             for split in cfg.splits:
-                if cfg.fading is not None:
-                    values = np.asarray(_sum_rate(scheme, fade1, fade2, split), dtype=float)
-                    mean = float(values.mean())
-                    err = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-                else:
-                    mean = float(_sum_rate(scheme, g1, g2, split))
-                    err = 0.0
+                values = np.asarray(_sum_rate(scheme, fade1, fade2, split), dtype=float)
+                mean = float(values.mean())
+                err = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
                 rows.append(SweepRow(float(x_db), scheme, split, mean, err))
     return SweepResult(tuple(rows))

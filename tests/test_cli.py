@@ -334,6 +334,8 @@ def test_db_levels_outside_domain_are_config_errors(argv, key):
         (["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "oma",
           "--grid-n", "100000"], "grid_n"),
         (["sweep", "--fading-samples", "100000000"], "fading_samples"),
+        (["signal-check", "--constellation", "qam", "--order", "16",
+          "--scheme", "rama2", "--total-power", "1e308"], "total_power"),
     ],
 )
 def test_size_caps_are_config_errors(argv, key):
@@ -386,6 +388,38 @@ def test_benchmark_tracer_finds_every_hook():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tracer.Tracer().missing == []
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys):
+    # One process, six calls: each output must match its golden fixture or a
+    # fresh interpreter's bytes, and the unseeded sweep must echo seed 0.
+    golden = REPO / "tests" / "golden"
+    assert cli._build_parser() is cli._build_parser()
+
+    region = ["region", "--g1-db", "30", "--g2-db", "0",
+              "--schemes", "noma,rama2", "--grid-n", "1000"]
+    assert _run(region, capsys) == (0, (golden / "region_30_0.csv").read_text(), "")
+
+    seeded = ["sweep", "--seed", "5", "--fading-samples", "20", "--grid-step-db", "10"]
+    code, seeded_out, _err = _run(seeded, capsys)
+    assert code == 0 and seeded_out == _run_process(seeded).stdout
+
+    signal = ["signal-check", "--constellation", "psk", "--order", "8", "--scheme", "rama2"]
+    assert _run(signal, capsys) == (0, (golden / "signal_psk8_rama2.txt").read_text(), "")
+
+    bad = ["region", "--g1-db", "4000", "--g2-db", "0", "--schemes", "noma"]
+    proc = _run_process(bad)
+    assert _run(bad, capsys) == (2, proc.stdout, proc.stderr)
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"ramasim {__version__}\n"
+
+    unseeded = ["sweep", "--fading-samples", "20", "--grid-step-db", "10"]
+    code, out, _err = _run(unseeded, capsys)
+    assert code == 0 and "\n# seed = 0\n" in out and out != seeded_out
+    assert out == _run_process(unseeded).stdout
 
 
 def test_sweep_rejects_bad_split(capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,25 @@ def test_constellation_rejects_unnormalized_points():
 def test_constellation_rejects_duplicates():
     with pytest.raises(ValueError, match="distinct"):
         Constellation((1 + 0j, 1 + 0j), "psk", 2)
+
+
+@pytest.mark.parametrize("make", [make_psk, make_qam])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        complex(math.nan, 0.0),
+        complex(0.5, math.nan),
+        complex(math.inf, 0.0),
+        complex(0.5, -math.inf),
+    ],
+)
+def test_constellation_rejects_non_finite_points(make, bad):
+    # NaN slips through every tolerance check (each comparison is False),
+    # so a non-finite point must be refused by name.
+    good = make(4)
+    points = (bad,) + good.points[1:]
+    with pytest.raises(ValueError, match=f"point {re.escape(repr(bad))} is not finite"):
+        Constellation(points, good.kind, 4)
 
 
 def test_relate_identity():

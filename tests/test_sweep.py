@@ -1,15 +1,21 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from ramasim.channel import DB_LIMIT, db_to_linear
 from ramasim.rates import Scheme
 from ramasim.sweep import (
     DEFAULT_SPLITS,
     MAX_FADING_SAMPLES,
     FadingConfig,
     SweepConfig,
+    SweepResult,
+    SweepRow,
     X_AXIS_RATIO,
     X_AXIS_SYMMETRIC,
+    _sum_rate,
     default_grid,
     run_sweep,
 )
@@ -223,3 +229,61 @@ def test_fading_realizations_shared_within_grid_point():
     # same draws feed both schemes, so the equal-split dominance also holds
     # realization-by-realization and survives the averaging
     assert rows[1].sum_rate > rows[0].sum_rate
+
+
+# --- the whole-grid evaluation against a per-point reference --------------------
+
+
+def _per_point_sweep(cfg):
+    """run_sweep's deterministic contract as one scalar _sum_rate call per row."""
+    rows = []
+    for x_db in cfg.resolved_grid():
+        if cfg.x_axis == X_AXIS_SYMMETRIC:
+            g1 = g2 = db_to_linear(x_db)
+        else:
+            g2 = db_to_linear(cfg.ratio_anchor_db)
+            g1 = db_to_linear(x_db) * g2
+        for scheme in cfg.schemes:
+            for split in cfg.splits:
+                sum_rate = float(_sum_rate(scheme, g1, g2, split))
+                rows.append(SweepRow(float(x_db), scheme, split, sum_rate, 0.0))
+    return SweepResult(tuple(rows))
+
+
+@st.composite
+def _deterministic_configs(draw):
+    x_axis = draw(st.sampled_from([X_AXIS_SYMMETRIC, X_AXIS_RATIO]))
+    anchor, lo, hi = 0.0, -DB_LIMIT, DB_LIMIT
+    if x_axis == X_AXIS_RATIO:
+        anchor = draw(st.one_of(
+            st.sampled_from([-DB_LIMIT, 0.0, DB_LIMIT]), st.floats(-DB_LIMIT, DB_LIMIT)
+        ))
+        lo, hi = max(lo, -DB_LIMIT - anchor), min(hi, DB_LIMIT - anchor)
+    level = st.one_of(
+        st.sampled_from([lo, hi]), st.floats(max(lo, -60.0), min(hi, 60.0)), st.floats(lo, hi)
+    )
+    grid = sorted(set(draw(st.lists(level, min_size=1, max_size=40))))
+    schemes = draw(st.lists(st.sampled_from(list(Scheme)), min_size=1, max_size=5))
+    splits = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4
+    ))
+    try:
+        return SweepConfig(schemes, x_axis, tuple(grid), tuple(splits), None, anchor)
+    except ValueError:  # x + anchor rounded just past the dB domain
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_deterministic_configs())
+@example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-DB_LIMIT, 0.0, DB_LIMIT), (0.0, 1.0)))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, DB_LIMIT), (0.0, 1.0), None, -DB_LIMIT))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (-DB_LIMIT, 0.0), (0.5,), None, DB_LIMIT))
+def test_whole_grid_sweep_equals_per_point_reference_bit_for_bit(cfg):
+    # The CSV prints every sum rate, so the grid evaluation must keep each bit,
+    # the sign of zero included.
+    result = run_sweep(cfg)
+    reference = _per_point_sweep(cfg)
+    assert result == reference
+    assert [row.sum_rate.hex() for row in result.rows] == [
+        row.sum_rate.hex() for row in reference.rows
+    ]
