@@ -1,11 +1,13 @@
 """Command-line front end: region, sweep, and signal-check experiments.
 
-Parameter precedence is defaults, then an optional flat ``key = value``
-config file (``--config``), then command-line flags. Config files carry a
-schema version and reject unknown keys. Every CSV embeds a ``#``-commented
-echo of the effective configuration between ``config-begin``/``config-end``
-markers; stripping the comment prefix from those lines yields a config
-file that reproduces the CSV byte for byte.
+Each command is described once, by its key table: a row gives a config
+key's codec, serializer, default and help text, and the same key is the
+flag ``--key-with-dashes``. Parameter precedence is defaults, then an
+optional flat ``key = value`` config file (``--config``), then flags. Config
+files carry a schema version and reject unknown keys. Every CSV embeds a
+``#``-commented echo of the effective configuration between
+``config-begin``/``config-end`` markers; stripping the comment prefix from
+those lines yields a config file that reproduces the CSV byte for byte.
 
 Exit codes: 0 success, 1 runtime failure (including a failed signal
 check), 2 configuration error.
@@ -27,6 +29,7 @@ from .sweep import (
     SweepConfig,
     X_AXIS_RATIO,
     X_AXIS_SYMMETRIC,
+    default_grid,
     run_sweep,
 )
 from .transceiver import verify_chain
@@ -97,49 +100,6 @@ def _parse_splits(text: str) -> tuple:
     return values
 
 
-def _schemes_parser(allowed):
-    allowed_names = ",".join(s.value for s in allowed)
-
-    def parse(text: str) -> tuple:
-        out = []
-        for token in (tok.strip() for tok in text.split(",")):
-            if not token:
-                raise ValueError(f"empty scheme token (choose from {allowed_names})")
-            try:
-                scheme = Scheme(token)
-            except ValueError:
-                raise ValueError(
-                    f"unknown scheme {token!r} (choose from {allowed_names})"
-                ) from None
-            if scheme not in allowed:
-                raise ValueError(
-                    f"scheme {token!r} is not supported by this command "
-                    f"(choose from {allowed_names})"
-                )
-            out.append(scheme)
-        if not out:
-            raise ValueError(f"scheme list must be nonempty (choose from {allowed_names})")
-        return tuple(out)
-
-    return parse
-
-
-def _parse_mode(text: str) -> str:
-    if text not in ("symmetric", "ratio"):
-        raise ValueError(f"mode must be 'symmetric' or 'ratio', got {text!r}")
-    return text
-
-
-def _parse_kind(text: str) -> str:
-    if text not in (PSK, QAM):
-        raise ValueError(f"constellation must be '{PSK}' or '{QAM}', got {text!r}")
-    return text
-
-
-def _check_scheme(text: str):
-    return _schemes_parser(CHECK_SCHEMES)(text)[0]
-
-
 def _ser_float(value) -> str:
     return repr(float(value))
 
@@ -148,43 +108,69 @@ def _ser_floats(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def _ser_schemes(values) -> str:
-    return ",".join(s.value for s in values)
+def _choice(*options) -> tuple:
+    """(parse, serialize) for one of `options`, each named by its ``.value`` if it has one."""
+    by_name = {getattr(option, "value", option): option for option in options}
+
+    def parse(text: str):
+        if text not in by_name:
+            raise ValueError(f"{text!r} is not one of {', '.join(by_name)}")
+        return by_name[text]
+
+    return parse, lambda option: getattr(option, "value", option)
 
 
-def _ser_str(value) -> str:
-    return str(value)
+def _schemes(allowed) -> tuple:
+    """(parse, serialize) for a comma-separated list of distinct `allowed` schemes."""
+    parse_one, name = _choice(*allowed)
+
+    def parse(text: str) -> tuple:
+        schemes = tuple(parse_one(token.strip()) for token in text.split(","))
+        if len(set(schemes)) < len(schemes):
+            raise ValueError(f"{text!r} names a scheme more than once")
+        return schemes
+
+    return parse, lambda schemes: ",".join(map(name, schemes))
 
 
+_FLOAT = (_parse_float, _ser_float)
+_DB = (_parse_db, _ser_float)
+_INT = (_parse_int, str)
+_SPLITS = (_parse_splits, _ser_floats)
 _REQUIRED = object()
 
-# key -> (parse, serialize, default); _REQUIRED defaults must be supplied by
-# the config file or a flag. Table order is the config-echo order.
+# key -> (parse, serialize, default, flag help): a command's whole interface.
+# Each key is also the flag --key-with-dashes; _REQUIRED defaults must be
+# supplied by the config file or a flag. Table order is the flag order and
+# the config-echo order.
 REGION_TABLE = {
-    "g1_db": (_parse_db, _ser_float, _REQUIRED),
-    "g2_db": (_parse_db, _ser_float, _REQUIRED),
-    "schemes": (_schemes_parser(REGION_SCHEMES), _ser_schemes, _REQUIRED),
-    "grid_n": (_parse_int, str, 1000),
+    "g1_db": (*_DB, _REQUIRED, "user 1 p*gamma level in dB"),
+    "g2_db": (*_DB, _REQUIRED, "user 2 p*gamma level in dB"),
+    "schemes": (*_schemes(REGION_SCHEMES), _REQUIRED,
+                "comma-separated schemes (oma,noma,rama1,rama2)"),
+    "grid_n": (*_INT, 1000, "sweep resolution per axis"),
 }
 
 SWEEP_TABLE = {
-    "mode": (_parse_mode, _ser_str, "symmetric"),
-    "grid_start_db": (_parse_db, _ser_float, None),  # None = mode default
-    "grid_stop_db": (_parse_db, _ser_float, 40.0),
-    "grid_step_db": (_parse_float, _ser_float, 1.0),
-    "schemes": (_schemes_parser(SWEEP_SCHEMES), _ser_schemes, (Scheme.NOMA, Scheme.RAMA1)),
-    "splits": (_parse_splits, _ser_floats, DEFAULT_SPLITS),
-    "fading_samples": (_parse_int, str, 0),
-    "seed": (_parse_int, str, 0),
-    "ratio_anchor_db": (_parse_db, _ser_float, 0.0),
+    "mode": (*_choice(X_AXIS_SYMMETRIC, X_AXIS_RATIO), X_AXIS_SYMMETRIC,
+             "x-axis mode: symmetric or ratio"),
+    "grid_start_db": (*_DB, None, None),  # None = the mode's default_grid start
+    "grid_stop_db": (*_DB, 40.0, None),
+    "grid_step_db": (*_FLOAT, 1.0, None),
+    "schemes": (*_schemes(SWEEP_SCHEMES), (Scheme.NOMA, Scheme.RAMA1),
+                "comma-separated schemes (noma,reconfig-noma,rama1,rama2,oma)"),
+    "splits": (*_SPLITS, DEFAULT_SPLITS, "comma-separated power splits p1/p"),
+    "fading_samples": (*_INT, 0, "Rayleigh realizations per grid point (0 disables fading)"),
+    "seed": (*_INT, 0, "base seed for the fading stream"),
+    "ratio_anchor_db": (*_DB, 0.0, "user 2 p*gamma level in dB for ratio mode"),
 }
 
 CHECK_TABLE = {
-    "constellation": (_parse_kind, _ser_str, _REQUIRED),
-    "order": (_parse_int, str, _REQUIRED),
-    "scheme": (_check_scheme, lambda s: s.value, _REQUIRED),
-    "splits": (_parse_splits, _ser_floats, CHECK_DEFAULT_SPLITS),
-    "total_power": (_parse_float, _ser_float, 1.0),
+    "constellation": (*_choice(PSK, QAM), _REQUIRED, "psk or qam"),
+    "order": (*_INT, _REQUIRED, "constellation order"),
+    "scheme": (*_choice(*CHECK_SCHEMES), _REQUIRED, "rama1 or rama2"),
+    "splits": (*_SPLITS, CHECK_DEFAULT_SPLITS, "power splits to check (rama2 only)"),
+    "total_power": (*_FLOAT, 1.0, "total power p"),
 }
 
 
@@ -213,7 +199,8 @@ def _read_config_file(path: str) -> dict:
 
 
 def _merge_params(command: str, table: dict, args) -> dict:
-    params = {key: spec[2] for key, spec in table.items()}
+    params = {key: row[2] for key, row in table.items()}
+    sources = []
     if args.config:
         raw = _read_config_file(args.config)
         for key in raw:
@@ -234,19 +221,15 @@ def _merge_params(command: str, table: dict, args) -> dict:
             raise ConfigError(
                 f"command: config file is for {raw['command']!r}, not {command!r}"
             )
-        for key, (parse, _, _) in table.items():
-            if key in raw:
+        sources.append(raw)
+    sources.append(vars(args))  # flags override the file; an unset flag is None
+    for source in sources:
+        for key, (parse, *_) in table.items():
+            if source.get(key) is not None:
                 try:
-                    params[key] = parse(raw[key])
+                    params[key] = parse(source[key])
                 except ValueError as exc:
                     raise ConfigError(f"{key}: {exc}") from None
-    for key, (parse, _, _) in table.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            try:
-                params[key] = parse(flag_value)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
     for key in table:
         if params[key] is _REQUIRED:
             flag = "--" + key.replace("_", "-")
@@ -262,7 +245,7 @@ def _metadata_lines(command: str, table: dict, params: dict) -> list:
         f"# version = {CONFIG_SCHEMA_VERSION}",
         f"# command = {command}",
     ]
-    for key, (_, serialize, _) in table.items():
+    for key, (_, serialize, *_) in table.items():
         lines.append(f"# {key} = {serialize(params[key])}")
     lines.append("# config-end")
     return lines
@@ -282,15 +265,12 @@ def _write_output(out: str, lines: list) -> None:
 
 
 # --- commands ---------------------------------------------------------------
+# Each takes the merged parameters and returns (exit code, output lines).
 
 
-def _cmd_region(args) -> int:
-    params = _merge_params("region", REGION_TABLE, args)
-    if params["grid_n"] < 2:
-        raise ConfigError("grid_n must be >= 2")
+def _cmd_region(params) -> tuple:
     lb = from_db(params["g1_db"], params["g2_db"])
-    lines = _metadata_lines("region", REGION_TABLE, params)
-    lines.append("scheme,r1_bits,r2_bits")
+    lines = ["scheme,r1_bits,r2_bits"]
     for scheme in params["schemes"]:
         try:
             region = trace_region(scheme, lb, params["grid_n"])
@@ -298,8 +278,7 @@ def _cmd_region(args) -> int:
             raise ConfigError(f"grid_n: {exc}") from None
         for r1, r2 in zip(region.r1.tolist(), region.r2.tolist()):
             lines.append(f"{scheme.value},{_fmt(r1)},{_fmt(r2)}")
-    _write_output(args.out, lines)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
 def _build_grid(start: float, stop: float, step: float) -> tuple:
@@ -314,29 +293,25 @@ def _build_grid(start: float, stop: float, step: float) -> tuple:
             f"from {start!r} to {stop!r} dB"
         )
     count = int(math.floor(span)) + 1
-    return tuple(start + i * step for i in range(count))
+    return tuple(min(start + i * step, stop) for i in range(count))  # rounding may overshoot
 
 
-def _cmd_sweep(args) -> int:
-    params = _merge_params("sweep", SWEEP_TABLE, args)
+def _cmd_sweep(params) -> tuple:
     if params["grid_start_db"] is None:
-        params["grid_start_db"] = -10.0 if params["mode"] == "symmetric" else 0.0
-    if params["fading_samples"] < 0:
-        raise ConfigError("fading_samples must be >= 0")
-    grid = _build_grid(
-        params["grid_start_db"], params["grid_stop_db"], params["grid_step_db"]
-    )
+        params["grid_start_db"] = default_grid(params["mode"])[0]
     fading = None
-    if params["fading_samples"] > 0:
+    if params["fading_samples"]:  # 0 = off
         try:
             fading = FadingConfig(params["fading_samples"], params["seed"])
         except ValueError as exc:
             raise ConfigError(f"fading_samples: {exc}") from None
-    x_axis = X_AXIS_SYMMETRIC if params["mode"] == "symmetric" else X_AXIS_RATIO
+    grid = _build_grid(
+        params["grid_start_db"], params["grid_stop_db"], params["grid_step_db"]
+    )
     try:
         cfg = SweepConfig(
             schemes=params["schemes"],
-            x_axis=x_axis,
+            x_axis=params["mode"],
             grid_db=grid,
             splits=params["splits"],
             fading=fading,
@@ -344,20 +319,16 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    result = run_sweep(cfg)
-    lines = _metadata_lines("sweep", SWEEP_TABLE, params)
-    lines.append("x_db,scheme,split,sum_rate_bits,stderr")
-    for row in result.rows:
+    lines = ["x_db,scheme,split,sum_rate_bits,stderr"]
+    for row in run_sweep(cfg).rows:
         lines.append(
             f"{_fmt(row.x_db)},{row.scheme.value},{_fmt(row.split)},"
             f"{_fmt(row.sum_rate)},{_fmt(row.stderr)}"
         )
-    _write_output(args.out, lines)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def _cmd_signal_check(args) -> int:
-    params = _merge_params("signal-check", CHECK_TABLE, args)
+def _cmd_signal_check(params) -> tuple:
     if params["total_power"] <= 0.0:
         raise ConfigError("total_power must be positive")
     if params["total_power"] > MAX_TOTAL_POWER:
@@ -399,16 +370,28 @@ def _cmd_signal_check(args) -> int:
     ok = worst <= SIGNAL_TOL
     lines.append(f"max |error| = {worst:.3e} (tolerance {SIGNAL_TOL:g})")
     lines.append("result: PASS" if ok else "result: FAIL")
-    print("\n".join(lines))
-    return EXIT_OK if ok else EXIT_RUNTIME
+    return (EXIT_OK if ok else EXIT_RUNTIME), lines
 
 
 # --- entry points ------------------------------------------------------------
 
+# command -> (help, key table, run, writes a CSV). A CSV command also takes
+# --out, and its output opens with the config echo.
+COMMANDS = {
+    "region": ("trace achievable-rate-region frontiers to CSV", REGION_TABLE, _cmd_region, True),
+    "sweep": ("sum-rate sweep over a dB grid to CSV", SWEEP_TABLE, _cmd_sweep, True),
+    "signal-check": (
+        "verify transmit-chain exactness over all symbol pairs",
+        CHECK_TABLE,
+        _cmd_signal_check,
+        False,
+    ),
+}
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process.
+    """The argparse tree, generated from `COMMANDS` once per process.
 
     ``parse_args`` leaves the parser as it was and returns a fresh namespace
     on every call, so one tree serves any number of ``main`` calls.
@@ -421,63 +404,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"ramasim {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    region = sub.add_parser(
-        "region", help="trace achievable-rate-region frontiers to CSV"
-    )
-    region.add_argument("--config", help="flat key = value config file")
-    region.add_argument("--g1-db", dest="g1_db", help="user 1 p*gamma level in dB")
-    region.add_argument("--g2-db", dest="g2_db", help="user 2 p*gamma level in dB")
-    region.add_argument(
-        "--schemes", help="comma-separated schemes (oma,noma,rama1,rama2)"
-    )
-    region.add_argument("--grid-n", dest="grid_n", help="sweep resolution per axis")
-    region.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-
-    sweep = sub.add_parser("sweep", help="sum-rate sweep over a dB grid to CSV")
-    sweep.add_argument("--config", help="flat key = value config file")
-    sweep.add_argument("--mode", help="x-axis mode: symmetric or ratio")
-    sweep.add_argument("--grid-start-db", dest="grid_start_db")
-    sweep.add_argument("--grid-stop-db", dest="grid_stop_db")
-    sweep.add_argument("--grid-step-db", dest="grid_step_db")
-    sweep.add_argument(
-        "--schemes", help="comma-separated schemes (noma,reconfig-noma,rama1,rama2,oma)"
-    )
-    sweep.add_argument("--splits", help="comma-separated power splits p1/p")
-    sweep.add_argument(
-        "--fading-samples",
-        dest="fading_samples",
-        help="Rayleigh realizations per grid point (0 disables fading)",
-    )
-    sweep.add_argument("--seed", help="base seed for the fading stream")
-    sweep.add_argument(
-        "--ratio-anchor-db",
-        dest="ratio_anchor_db",
-        help="user 2 p*gamma level in dB for ratio mode",
-    )
-    sweep.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-
-    check = sub.add_parser(
-        "signal-check", help="verify transmit-chain exactness over all symbol pairs"
-    )
-    check.add_argument("--config", help="flat key = value config file")
-    check.add_argument("--constellation", help="psk or qam")
-    check.add_argument("--order", help="constellation order")
-    check.add_argument("--scheme", help="rama1 or rama2")
-    check.add_argument("--splits", help="power splits to check (rama2 only)")
-    check.add_argument("--total-power", dest="total_power", help="total power p")
-
+    for name, (help_text, table, _, writes_csv) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", help="flat key = value config file")
+        for key, (*_, flag_help) in table.items():
+            command.add_argument("--" + key.replace("_", "-"), help=flag_help)
+        if writes_csv:
+            command.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _, table, run, writes_csv = COMMANDS[args.command]
     try:
-        if args.command == "region":
-            return _cmd_region(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_signal_check(args)
+        params = _merge_params(args.command, table, args)
+        code, lines = run(params)
+        if writes_csv:
+            lines = _metadata_lines(args.command, table, params) + lines
+        _write_output(args.out if writes_csv else "-", lines)
+        return code
     except ConfigError as exc:
         print(f"ramasim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,16 +1,17 @@
 """Sum-rate sweeps over deterministic dB grids, optionally fading-averaged.
 
-Two x-axis modes: `symmetric_pgamma_db` drives both users' p*gamma
-through the same level, `gain_ratio_db` fixes user 2 at an anchor level
-and sweeps the gain ratio (so user 1 is at least as strong for ratios
->= 0 dB). A row is emitted per (grid point, scheme, split), in that
-order. Each grid point's linear gains come from a scalar `db_to_linear`.
-Without fading, the gains are stacked into one array per user and each
-(scheme, split) is evaluated once over the whole grid. With fading
-enabled, each grid point draws its own Rayleigh realizations from a
-stream seeded `seed + grid_index` and is evaluated on its own, so memory
-stays bounded per point (`MAX_FADING_SAMPLES`); the same realizations are
-shared by every scheme and split at that point.
+Two x-axis modes, named as the CLI's `mode` values: `X_AXIS_SYMMETRIC`
+("symmetric") drives both users' p*gamma through the same level,
+`X_AXIS_RATIO` ("ratio") fixes user 2 at an anchor level and sweeps the
+gain ratio (so user 1 is at least as strong for ratios >= 0 dB). A row
+is emitted per (grid point, scheme, split), in that order. Each grid
+point's linear gains come from a scalar `db_to_linear`. Without fading,
+the gains are stacked into one array per user and each (scheme, split)
+is evaluated once over the whole grid. With fading enabled, each grid
+point draws its own Rayleigh realizations from a stream seeded
+`seed + grid_index` and is evaluated on its own, so memory stays bounded
+per point (`MAX_FADING_SAMPLES`); the same realizations are shared by
+every scheme and split at that point.
 
 Scheme parameters the sweep fixes: OMA ties the bandwidth share to the
 power split, and reconfigurable-antenna NOMA uses an equal beam split.
@@ -24,8 +25,8 @@ import numpy as np
 from .channel import RngState, db_to_linear, rayleigh_fades
 from .rates import SCHEMES, Scheme
 
-X_AXIS_SYMMETRIC = "symmetric_pgamma_db"
-X_AXIS_RATIO = "gain_ratio_db"
+X_AXIS_SYMMETRIC = "symmetric"
+X_AXIS_RATIO = "ratio"
 
 DEFAULT_SPLITS = (0.25, 0.5, 0.75)
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ramasim
 import ramasim.cli as cli
@@ -349,6 +351,58 @@ def test_sweep_grid_cap_is_exact():
     assert len(cli._build_grid(0.0, top, step)) == cli.MAX_GRID_POINTS
     with pytest.raises(cli.ConfigError, match="grid_step_db"):
         cli._build_grid(0.0, top + step, step)
+
+
+# Found by sampling grids that end at 1000 dB: start + i*step rounded the
+# last point above grid_stop_db, out of the dB domain.
+OVERSHOOT = (-109.67, 1000.0, 73.97800000000001)
+
+
+def test_sweep_grid_that_rounds_past_its_stop_runs(capsys):
+    start, stop, step = (repr(v) for v in OVERSHOOT)
+    argv = ["sweep", "--grid-start-db", start, "--grid-stop-db", stop,
+            "--grid-step-db", step, "--schemes", "noma"]
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("1000,noma,")
+
+
+@st.composite
+def _grid_bounds(draw):
+    a, b = draw(st.floats(-1000.0, 1000.0)), draw(st.floats(-1000.0, 1000.0))
+    start, stop = min(a, b), max(a, b)
+    step = (stop - start) / draw(st.integers(1, 500)) * draw(st.floats(0.5, 2.0))
+    return start, stop, step if step > 0.0 else 1.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grid_bounds())
+@example(OVERSHOOT)
+def test_sweep_grid_never_passes_its_stop(bounds):
+    start, stop, step = bounds
+    grid = cli._build_grid(start, stop, step)
+    assert grid[0] == start and grid[-1] <= stop
+    unclamped = tuple(start + i * step for i in range(len(grid)))
+    if unclamped[-1] <= stop:
+        assert grid == unclamped
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["signal-check", "--constellation", "psk", "--order", "8",
+          "--scheme", "rama1,rama2"], "scheme"),
+        (["sweep", "--schemes", "noma,noma"], "schemes"),
+        (["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "rama2,noma,rama2"],
+         "schemes"),
+        # checked by trace_region and FadingConfig, reported under the CLI key
+        (["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "noma", "--grid-n", "1"],
+         "grid_n"),
+        (["sweep", "--fading-samples", "-1"], "fading_samples"),
+    ],
+)
+def test_bad_scheme_lists_and_library_checks_are_config_errors(argv, key):
+    _assert_one_line_config_error(argv, key)
 
 
 def test_signal_check_order_cap_is_inclusive(monkeypatch, capsys):

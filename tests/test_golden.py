@@ -1,12 +1,12 @@
 """Byte-for-byte replay of outputs recorded under tests/golden/.
 
 The fixtures pin the exact output of the region and sweep commands (CSV
-files) and of signal-check (reports on stdout), so a refactor of the rate,
-region, sweep or transmit-chain layers that changes any printed digit, row
-order or config-echo line fails here. The signal-check reports print
-rounding errors near 1e-16, so they also pin the chain arithmetic bit for
-bit. Never regenerate them to make this test pass: a mismatch means the
-code under test changed its numbers.
+files), of signal-check (reports on stdout) and of every ``--help`` page,
+so a refactor that changes any printed digit, row order, config-echo line
+or help line fails here. The signal-check reports print rounding errors
+near 1e-16, so they also pin the chain arithmetic bit for bit. Never
+regenerate them to make this test pass: a mismatch means the code under
+test changed its output.
 """
 
 from pathlib import Path
@@ -67,3 +67,20 @@ def test_signal_check_matches_golden_report(name, capsys):
     assert cli.main(SIGNAL_CASES[name]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+HELP_CASES = {
+    "help_ramasim.txt": [],
+    "help_region.txt": ["region"],
+    "help_sweep.txt": ["sweep"],
+    "help_signal_check.txt": ["signal-check"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_matches_golden_page(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        cli.main(HELP_CASES[name] + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ramasim.channel import LinkBudget, from_db
+from ramasim.channel import DB_LIMIT, LinkBudget, from_db
 from ramasim.rates import (
     SCHEMES,
     RatePair,
@@ -241,3 +243,28 @@ def test_rates_monotone_in_power_and_gain():
         assert noma_rates(_alloc(1.0, frac), bigger).r1 >= noma_rates(_alloc(1.0, frac), lb).r1
         assert rama2_rates(_alloc(2.0, frac), lb).r1 >= rama2_rates(_alloc(1.0, frac), lb).r1
         assert rama1_rates(2.0, lb).r1 >= rama1_rates(1.0, lb).r1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-DB_LIMIT, DB_LIMIT),
+    st.one_of(st.none(), st.floats(-DB_LIMIT, DB_LIMIT)),  # None: symmetric channels
+    st.floats(0.0, 1.0),
+)
+@example(15.0, None, 0.5)
+@example(30.0, 0.0, 0.9)
+@example(0.0, 30.0, 0.1)
+def test_rama2_with_full_csi_reaches_every_noma_sum(g1_db, g2_db, split):
+    lb = from_db(g1_db, g1_db if g2_db is None else g2_db)
+    p, g1, g2 = lb.p, lb.gamma1, lb.gamma2
+    t = np.append(np.linspace(0.0, 1.0, 101), split)
+    n1, n2 = SCHEMES[Scheme.NOMA](p, t * p, (1.0 - t) * p, g1, g2, None)
+    r1, r2 = SCHEMES[Scheme.RAMA2](p, t * p, (1.0 - t) * p, g1, g2, None)
+    # RAMA-II is NOMA without the superposed interference: no user loses, at any split
+    assert np.all(r1 >= n1) and np.all(r2 >= n2)
+    # water-filling over the two interference-free links; rounding 1 + p*g
+    # leaves each log2 an absolute error near 2**-53 / ln 2, which is all of
+    # a rate below about -120 dB, hence the absolute floor
+    p1 = min(max((p + 1.0 / g2 - 1.0 / g1) / 2.0, 0.0), p)
+    w1, w2 = SCHEMES[Scheme.RAMA2](p, p1, p - p1, g1, g2, None)
+    assert np.all(w1 + w2 >= (n1 + n2) * (1.0 - 1e-12) - 1e-15)
