@@ -21,6 +21,8 @@ _TWO_PI = 2.0 * math.pi
 # 1e100, so every rate stays finite, OMA's p*g/band included on any grid
 # that fits in memory; 10**(x/10) itself overflows above about 3082.5 dB.
 DB_LIMIT = 1000.0
+# Largest p*gamma_i a LinkBudget accepts: DB_LIMIT in linear terms (1e100).
+MAX_PG = 10.0 ** (DB_LIMIT / 10.0)
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,9 @@ class LinkBudget:
     """Total power plus normalized per-user gains.
 
     Rates depend only on the products p*gamma_i, so budgets built from dB
-    levels normalize p to 1 and fold everything into the gains.
+    levels normalize p to 1 and fold everything into the gains. Each
+    product is bounded by MAX_PG, the DB_LIMIT scale, so every rate is
+    finite.
     """
 
     p: float
@@ -36,12 +40,14 @@ class LinkBudget:
     gamma2: float
 
     def __post_init__(self):
-        if not self.p > 0.0:
-            raise ValueError("total power p must be positive")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError("total power p must be positive and finite")
         for name in ("gamma1", "gamma2"):
             g = getattr(self, name)
             if not (math.isfinite(g) and g >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative")
+            if not self.p * g <= MAX_PG:
+                raise ValueError(f"{name}: p*{name} = {self.p * g!r} is above {MAX_PG:g}")
 
     @property
     def pg1(self) -> float:

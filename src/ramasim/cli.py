@@ -293,7 +293,13 @@ def _build_grid(start: float, stop: float, step: float) -> tuple:
             f"from {start!r} to {stop!r} dB"
         )
     count = int(math.floor(span)) + 1
-    return tuple(min(start + i * step, stop) for i in range(count))  # rounding may overshoot
+    grid = tuple(min(start + i * step, stop) for i in range(count))  # rounding may overshoot
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(
+            f"grid_step_db: {step!r} is below the float resolution of the levels "
+            f"from {start!r} to {stop!r} dB, so grid points repeat"
+        )
+    return grid
 
 
 def _cmd_sweep(params) -> tuple:

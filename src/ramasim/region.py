@@ -7,9 +7,17 @@ import numpy as np
 from .channel import LinkBudget
 from .rates import SCHEMES, Scheme
 
-# Allocation points one trace may evaluate: n^2 for OMA, n otherwise. Each
-# point costs about a dozen float64 planes (OMA n = 2048: ~0.4 GB peak RSS).
+# Allocation points one trace may evaluate: n^2 for OMA, n otherwise. Rates
+# are streamed in blocks, and each pre-filter survivor costs about a dozen
+# float64 planes in the exact pass. Peak RSS at the cap: OMA n = 2048 ~50 MB;
+# NOMA and RAMA-II keep nearly every point, n = 2^22 ~0.4 GB.
 MAX_REGION_POINTS = 2**22
+
+# r1 bins of the dominance pre-filter that runs before the exact Pareto pass.
+PREFILTER_BINS = 4096
+# Allocation points per streamed block (OMA: rounded down to whole
+# bandwidth-share rows); only the pre-filter's survivors outlive their block.
+BLOCK_POINTS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +82,20 @@ def _pareto_mask(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _prefilter(r1: np.ndarray, r2: np.ndarray, scale: float, best: np.ndarray) -> np.ndarray:
+    """Mask of points whose r2 beats every r1 bin above their own.
+
+    The bin index min(floor(r1*scale), K-1) never falls as r1 grows, so a
+    higher bin holds a strictly larger r1 and each dropped point is
+    dominated by a real point: the filter is exact. `best` holds the K
+    bins' largest r2 so far and is raised in place by this call's points.
+    """
+    bins = np.minimum(r1 * scale, best.size - 1).astype(np.intp)
+    np.maximum.at(best, bins, r2)
+    above = np.append(np.maximum.accumulate(best[:0:-1])[::-1], -np.inf)
+    return r2 > above[bins]
+
+
 def _frontier(scheme: Scheme, r1: np.ndarray, r2: np.ndarray, n: int) -> RateRegion:
     mask = _pareto_mask(r1, r2)
     f1 = r1[mask]
@@ -106,13 +128,26 @@ def trace_region(scheme, lb: LinkBudget, n: int = 1000) -> RateRegion:
             f"n = {n} gives {points} {scheme.value} allocation points, "
             f"above the cap of {MAX_REGION_POINTS}"
         )
-    p = lb.p
     t = np.linspace(0.0, 1.0, n)
-    band = None
-    if scheme is Scheme.OMA:
-        band, t = np.meshgrid(t, t, indexing="ij")
-    r1, r2 = SCHEMES[scheme](p, t * p, (1.0 - t) * p, lb.gamma1, lb.gamma2, band)
-    return _frontier(scheme, np.ravel(r1), np.ravel(r2), n)
+    if scheme is Scheme.OMA:  # (bandwidth share) x (power split) rows
+        rows = max(1, BLOCK_POINTS // n)
+        blocks = ((t[i : i + rows, None], t) for i in range(0, n, rows))
+    else:
+        blocks = ((None, t[i : i + BLOCK_POINTS]) for i in range(0, n, BLOCK_POINTS))
+    hi = float(np.log2(1.0 + lb.pg1))  # bounds every scheme's r1; OMA's by concavity
+    scale = PREFILTER_BINS / hi if 0.0 < hi < np.inf else 0.0  # 0: one bin, no pruning
+    best = np.full(PREFILTER_BINS, -np.inf)
+    kept1, kept2 = [], []
+    for band, split in blocks:
+        r1, r2 = SCHEMES[scheme](lb.p, split * lb.p, (1.0 - split) * lb.p,
+                                 lb.gamma1, lb.gamma2, band)
+        r1, r2 = np.ravel(r1), np.ravel(r2)
+        keep = _prefilter(r1, r2, scale, best)
+        kept1.append(r1[keep])
+        kept2.append(r2[keep])
+    r1, r2 = np.concatenate(kept1), np.concatenate(kept2)
+    del kept1, kept2  # the exact pass needs only one copy of the survivors
+    return _frontier(scheme, r1, r2, n)
 
 
 def r2_at_r1(region: RateRegion, r1_target: float) -> float:

@@ -1,0 +1,42 @@
+"""Benchmark output gate: seed-0 bench ops must print their recorded bytes.
+
+Replays the benchmark's default-seed inputs through `ramasim.cli.main` in
+process and checks each output with the benchmark's own `check_output`
+against `perfbench/golden_sha256.json`: every `region` op, and the first
+few ops of each other workload.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+import ramasim.cli as cli
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+FIRST_OPS = 4  # per workload other than region
+
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+GOLDEN = json.loads((BENCH / "golden_sha256.json").read_text(encoding="utf-8"))
+
+
+def _cases():
+    for name in workloads.WORKLOADS:
+        ops = workloads.make_ops(name, 0)
+        for i, op in enumerate(ops if name == "region" else ops[:FIRST_OPS]):
+            yield pytest.param(name, op, id=f"{name}-{i}")
+
+
+@pytest.mark.parametrize("workload, op", _cases())
+def test_seed0_bench_op_prints_recorded_bytes(workload, op):
+    golden = GOLDEN[workload]
+    assert workloads.argv_key(op.argv) in golden
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(list(op.argv))
+    workloads.check_output(op, rc, out.getvalue(), golden)

@@ -60,6 +60,17 @@ def test_link_budget_validation():
         LinkBudget(1.0, 1.0, -1.0)
     with pytest.raises(ValueError, match="gamma1"):
         LinkBudget(1.0, math.inf, 1.0)
+    with pytest.raises(ValueError, match="total power"):
+        LinkBudget(math.inf, 0.0, 0.0)
+
+
+def test_link_budget_bounds_products_at_the_db_scale():
+    assert LinkBudget(1.0, 1e100, 1e100).pg1 == 1e100  # from_db(1000, 1000)
+    assert LinkBudget(1e-200, 1e300, 1.0).pg1 == 1e100
+    with pytest.raises(ValueError, match="gamma1"):
+        LinkBudget(2.0, 1e100, 1.0)
+    with pytest.raises(ValueError, match="gamma2"):
+        LinkBudget(1e10, 1.0, 1e91)
 
 
 def test_rng_streams_are_reproducible():

@@ -399,6 +399,9 @@ def test_sweep_grid_never_passes_its_stop(bounds):
         (["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "noma", "--grid-n", "1"],
          "grid_n"),
         (["sweep", "--fading-samples", "-1"], "fading_samples"),
+        # start + i*step rounds to repeated levels, which SweepConfig refuses
+        (["sweep", "--grid-start-db", "999.9999999999999", "--grid-stop-db", "1000",
+          "--grid-step-db", "1e-14"], "grid_step_db"),
     ],
 )
 def test_bad_scheme_lists_and_library_checks_are_config_errors(argv, key):

@@ -1,12 +1,26 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ramasim.channel import LinkBudget, from_db
-from ramasim.rates import Scheme
+from ramasim.channel import DB_LIMIT, LinkBudget, from_db
+from ramasim.rates import SCHEMES, Scheme
 import ramasim.region as region_module
-from ramasim.region import RateRegion, _pareto_mask, r2_at_r1, trace_region
+from ramasim.region import (
+    PREFILTER_BINS,
+    RateRegion,
+    _frontier,
+    _pareto_mask,
+    _prefilter,
+    r2_at_r1,
+    trace_region,
+)
+
+REGION_SCHEMES = (Scheme.OMA, Scheme.NOMA, Scheme.RAMA1, Scheme.RAMA2)
 
 
 def _mask(points):
@@ -191,3 +205,99 @@ def test_trace_region_caps_allocation_points(monkeypatch):
         trace_region("oma", lb, 11)
     with pytest.raises(ValueError, match="n = 101 gives 101 noma allocation points"):
         trace_region("noma", lb, 101)
+
+
+def test_trace_region_on_a_gain_above_the_db_scale_names_the_gain():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gamma1"):
+            trace_region("oma", LinkBudget(1.0, 1e308, 1.0), 10)
+
+
+def _unstreamed(scheme, lb, n):
+    """Reference trace: the whole grid at once, then the exact Pareto pass."""
+    t = np.linspace(0.0, 1.0, n)
+    band = None
+    if scheme is Scheme.OMA:
+        band, t = np.meshgrid(t, t, indexing="ij")
+    r1, r2 = SCHEMES[scheme](lb.p, t * lb.p, (1.0 - t) * lb.p, lb.gamma1, lb.gamma2, band)
+    return _frontier(scheme, np.ravel(r1), np.ravel(r2), n)
+
+
+def _hex(values):
+    return [v.hex() for v in values.tolist()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-DB_LIMIT, DB_LIMIT),
+    st.one_of(st.none(), st.floats(-DB_LIMIT, DB_LIMIT)),  # None: symmetric, exact ties
+    st.integers(2, 400),
+    st.integers(1, 401 * 400),  # BLOCK_POINTS: OMA rows max(1, block // n), 1-D chunks block
+)
+@example(15.0, None, 400, 2**16)  # the default block: 163 OMA rows, one 1-D block
+@example(30.0, 0.0, 12, 48)  # n a multiple of the 4 OMA rows
+@example(3.0, 12.0, 13, 52)  # n off a multiple of the 4 OMA rows
+@example(-10.0, 40.0, 7, 63)  # one block, n below the 9 OMA rows
+@example(20.0, 5.0, 400, 100)  # one-row OMA blocks, four 1-D chunks
+@example(5.0, 20.0, 399, 7)  # 1-D chunks off a multiple
+@example(-DB_LIMIT, 20.0, 50, 7)  # r1 rounds to 0 everywhere: a single bin
+@example(DB_LIMIT, DB_LIMIT, 30, 1)
+@example(DB_LIMIT, -DB_LIMIT, 2, 1)
+def test_streamed_trace_equals_unstreamed_bit_for_bit(g1_db, g2_db, n, block):
+    lb = from_db(g1_db, g1_db if g2_db is None else g2_db)
+    with mock.patch.object(region_module, "BLOCK_POINTS", block):
+        for scheme in REGION_SCHEMES:
+            got, want = trace_region(scheme, lb, n), _unstreamed(scheme, lb, n)
+            assert got.r1.tolist() == want.r1.tolist()
+            assert got.r2.tolist() == want.r2.tolist()
+            assert (_hex(got.r1), _hex(got.r2)) == (_hex(want.r1), _hex(want.r2))
+
+
+def test_zero_gain_traces_equal_unstreamed():
+    for lb in (LinkBudget(1.0, 0.0, 3.0), LinkBudget(2.0, 0.0, 0.0), LinkBudget(0.5, 4.0, 0.0)):
+        for scheme in REGION_SCHEMES:
+            got, want = trace_region(scheme, lb, 300), _unstreamed(scheme, lb, 300)
+            assert (_hex(got.r1), _hex(got.r2)) == (_hex(want.r1), _hex(want.r2))
+
+
+def _fresh():
+    return np.full(PREFILTER_BINS, -np.inf)
+
+
+def _single(r1, r2, scale, best):
+    return _prefilter(np.array([r1]), np.array([r2]), scale, best).tolist()
+
+
+def test_prefilter_single_points():
+    scale = PREFILTER_BINS / 2.0  # r1 range [0, 2]
+    for s in (0.0, scale):  # 0.0: a single bin, nothing above it
+        assert _single(1.0, 1.0, s, _fresh()) == [True]
+    best = _fresh()
+    assert _single(1.5, 2.0, scale, best) == [True]
+    assert _single(1.0, 2.0, scale, best) == [False]  # equal r2, strictly smaller r1
+    assert _single(1.0, math.nextafter(2.0, 3.0), scale, best) == [True]
+    assert _single(1.5, 1.0, scale, best) == [True]  # same bin as (1.5, 2): never pruned
+    assert _single(2.5, 0.0, scale, best) == [True]  # past the range: clipped to the top bin
+
+
+_value = st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 1.0, 1.75, 2.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(_value, _value), min_size=1, max_size=40),
+    st.integers(1, 40),
+    st.sampled_from([0.0, 1.0, PREFILTER_BINS / 2.0, 1e6]),
+)
+def test_prefilter_keeps_the_frontier_and_drops_only_dominated_points(points, chunk, scale):
+    r1 = np.array([a for a, _ in points])
+    r2 = np.array([b for _, b in points])
+    best = _fresh()
+    keep = np.concatenate(
+        [_prefilter(r1[i : i + chunk], r2[i : i + chunk], scale, best)
+         for i in range(0, r1.size, chunk)]
+    )
+    assert not np.any(_pareto_mask(r1, r2) & ~keep)
+    for a, b in zip(r1[~keep], r2[~keep]):
+        assert np.any((r1 > a) & (r2 >= b))
