@@ -10,7 +10,7 @@ files carry a schema version and reject unknown keys. Every CSV embeds a
 those lines yields a config file that reproduces the CSV byte for byte.
 
 Exit codes: 0 success, 1 runtime failure (including a failed signal
-check), 2 configuration error.
+check), 2 configuration error: a ValueError, whose message names the key.
 """
 
 import argparse
@@ -29,6 +29,7 @@ from .sweep import (
     SweepConfig,
     X_AXIS_RATIO,
     X_AXIS_SYMMETRIC,
+    build_grid,
     default_grid,
     run_sweep,
 )
@@ -42,25 +43,11 @@ EXIT_CONFIG = 2
 
 SIGNAL_TOL = 1e-12
 
-# Size caps: every input ends in output or a one-line config error, never
-# in a hang or an allocation that exhausts memory. signal-check holds about
-# a dozen order^2 float planes (qam-1024 rama2: ~1.7 s, ~110 MB peak RSS).
-MAX_ORDER = 1024
-MAX_GRID_POINTS = 10_000  # sweep grid points; each is one row per scheme and split
-# signal-check squares chain amplitudes up to about 1e3 * total_power
-# (qam-1024's largest squared amplitude ratio is 961); capping the power at
-# 1e100 keeps every square finite, as channel.DB_LIMIT does for the gains.
-MAX_TOTAL_POWER = 1e100
-
 REGION_SCHEMES = (Scheme.OMA, Scheme.NOMA, Scheme.RAMA1, Scheme.RAMA2)
 SWEEP_SCHEMES = tuple(Scheme)
 CHECK_SCHEMES = (Scheme.RAMA1, Scheme.RAMA2)
 
 CHECK_DEFAULT_SPLITS = (0.1, 0.3, 0.5, 0.7, 0.9)
-
-
-class ConfigError(Exception):
-    """Invalid experiment configuration; the message names the offending key."""
 
 
 # --- value codecs ----------------------------------------------------------
@@ -182,20 +169,27 @@ def _read_config_file(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
+        raise ValueError(f"config: cannot read {path!r}: {exc}") from None
     data = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in data:
-            raise ConfigError(f"duplicate config key {key!r}")
+            raise ValueError(f"duplicate config key {key!r}")
         data[key] = value.strip()
     return data
+
+
+def _parse_key(key: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _merge_params(command: str, table: dict, args) -> dict:
@@ -205,20 +199,17 @@ def _merge_params(command: str, table: dict, args) -> dict:
         raw = _read_config_file(args.config)
         for key in raw:
             if key not in table and key not in ("version", "command"):
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
         if "version" not in raw:
-            raise ConfigError("version: required key missing from config file")
-        try:
-            declared = _parse_int(raw["version"])
-        except ValueError as exc:
-            raise ConfigError(f"version: {exc}") from None
+            raise ValueError("version: required key missing from config file")
+        declared = _parse_key("version", _parse_int, raw["version"])
         if declared != CONFIG_SCHEMA_VERSION:
-            raise ConfigError(
+            raise ValueError(
                 f"version: config declares schema {declared}, "
                 f"tool expects {CONFIG_SCHEMA_VERSION}"
             )
         if "command" in raw and raw["command"] != command:
-            raise ConfigError(
+            raise ValueError(
                 f"command: config file is for {raw['command']!r}, not {command!r}"
             )
         sources.append(raw)
@@ -226,14 +217,11 @@ def _merge_params(command: str, table: dict, args) -> dict:
     for source in sources:
         for key, (parse, *_) in table.items():
             if source.get(key) is not None:
-                try:
-                    params[key] = parse(source[key])
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from None
+                params[key] = _parse_key(key, parse, source[key])
     for key in table:
         if params[key] is _REQUIRED:
             flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{key} is required (set the {flag} flag or config key)")
+            raise ValueError(f"{key} is required (set the {flag} flag or config key)")
     return params
 
 
@@ -272,34 +260,10 @@ def _cmd_region(params) -> tuple:
     lb = from_db(params["g1_db"], params["g2_db"])
     lines = ["scheme,r1_bits,r2_bits"]
     for scheme in params["schemes"]:
-        try:
-            region = trace_region(scheme, lb, params["grid_n"])
-        except ValueError as exc:
-            raise ConfigError(f"grid_n: {exc}") from None
+        region = trace_region(scheme, lb, params["grid_n"])
         for r1, r2 in zip(region.r1.tolist(), region.r2.tolist()):
             lines.append(f"{scheme.value},{_fmt(r1)},{_fmt(r2)}")
     return EXIT_OK, lines
-
-
-def _build_grid(start: float, stop: float, step: float) -> tuple:
-    if step <= 0.0:
-        raise ConfigError("grid_step_db must be positive")
-    if stop < start:
-        raise ConfigError("grid_stop_db must be >= grid_start_db")
-    span = (stop - start) / step + 1e-9  # may be huge or infinite: cap it before int()
-    if span >= MAX_GRID_POINTS:
-        raise ConfigError(
-            f"grid_step_db: {step!r} gives more than {MAX_GRID_POINTS} grid points "
-            f"from {start!r} to {stop!r} dB"
-        )
-    count = int(math.floor(span)) + 1
-    grid = tuple(min(start + i * step, stop) for i in range(count))  # rounding may overshoot
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(
-            f"grid_step_db: {step!r} is below the float resolution of the levels "
-            f"from {start!r} to {stop!r} dB, so grid points repeat"
-        )
-    return grid
 
 
 def _cmd_sweep(params) -> tuple:
@@ -307,24 +271,16 @@ def _cmd_sweep(params) -> tuple:
         params["grid_start_db"] = default_grid(params["mode"])[0]
     fading = None
     if params["fading_samples"]:  # 0 = off
-        try:
-            fading = FadingConfig(params["fading_samples"], params["seed"])
-        except ValueError as exc:
-            raise ConfigError(f"fading_samples: {exc}") from None
-    grid = _build_grid(
-        params["grid_start_db"], params["grid_stop_db"], params["grid_step_db"]
+        fading = FadingConfig(params["fading_samples"], params["seed"])
+    grid = build_grid(params["grid_start_db"], params["grid_stop_db"], params["grid_step_db"])
+    cfg = SweepConfig(
+        schemes=params["schemes"],
+        x_axis=params["mode"],
+        grid_db=grid,
+        splits=params["splits"],
+        fading=fading,
+        ratio_anchor_db=params["ratio_anchor_db"],
     )
-    try:
-        cfg = SweepConfig(
-            schemes=params["schemes"],
-            x_axis=params["mode"],
-            grid_db=grid,
-            splits=params["splits"],
-            fading=fading,
-            ratio_anchor_db=params["ratio_anchor_db"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     lines = ["x_db,scheme,split,sum_rate_bits,stderr"]
     for row in run_sweep(cfg).rows:
         lines.append(
@@ -335,26 +291,14 @@ def _cmd_sweep(params) -> tuple:
 
 
 def _cmd_signal_check(params) -> tuple:
-    if params["total_power"] <= 0.0:
-        raise ConfigError("total_power must be positive")
-    if params["total_power"] > MAX_TOTAL_POWER:
-        raise ConfigError(
-            f"total_power: {params['total_power']!r} is above the cap of {MAX_TOTAL_POWER:g}"
-        )
     kind = params["constellation"]
     scheme = params["scheme"]
     if scheme is Scheme.RAMA1 and kind != PSK:
-        raise ConfigError(
+        raise ValueError(
             "scheme: rama1 requires a psk constellation "
             "(equal power split cannot realize an amplitude ratio)"
         )
-    if params["order"] > MAX_ORDER:
-        raise ConfigError(f"order: {params['order']} is above the cap of {MAX_ORDER}")
-    try:
-        const = make_psk(params["order"]) if kind == PSK else make_qam(params["order"])
-    except ValueError as exc:
-        raise ConfigError(f"order: {exc}") from None
-
+    const = make_psk(params["order"]) if kind == PSK else make_qam(params["order"])
     p = params["total_power"]
     errors = verify_chain(const, scheme, params["splits"], p)
     lines = [
@@ -430,7 +374,7 @@ def main(argv=None) -> int:
             lines = _metadata_lines(args.command, table, params) + lines
         _write_output(args.out if writes_csv else "-", lines)
         return code
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"ramasim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

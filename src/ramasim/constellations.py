@@ -20,6 +20,10 @@ QAM = "qam"
 # Unit-power and unit-modulus checks share one tolerance.
 _POWER_TOL = 1e-12
 
+# Largest order make_psk and make_qam build. The all-pairs chain check holds
+# about a dozen order^2 float planes (qam-1024 rama2: ~1.7 s, ~110 MB peak RSS).
+MAX_ORDER = 1024
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -73,10 +77,16 @@ class SymbolRelation:
         return s1 * self.s_bar * cmath.exp(1j * self.delta_theta)
 
 
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise ValueError(f"order: {order} is above the cap of {MAX_ORDER}")
+
+
 def make_psk(order: int) -> Constellation:
     """Unit-circle constellation with `order` equally spaced phases."""
+    _check_order(order)
     if order < 2:
-        raise ValueError(f"PSK order must be >= 2, got {order}")
+        raise ValueError(f"order: PSK order must be >= 2, got {order}")
     points = tuple(cmath.exp(1j * TWO_PI * k / order) for k in range(order))
     return Constellation(points, PSK, order)
 
@@ -88,9 +98,10 @@ def make_qam(order: int) -> Constellation:
     per axis; the common scale factor is 1/sqrt(mean raw power), e.g.
     1/sqrt(10) for 16-QAM.
     """
+    _check_order(order)
+    if order < 4 or math.isqrt(order) ** 2 != order:
+        raise ValueError(f"order: QAM order must be a perfect square >= 4, got {order}")
     root = math.isqrt(order)
-    if order < 4 or root * root != order:
-        raise ValueError(f"QAM order must be a perfect square >= 4, got {order}")
     coords = range(-(root - 1), root, 2)
     # Integer arithmetic keeps the normalization target exact.
     mean_raw = sum(a * a + b * b for a in coords for b in coords) / order

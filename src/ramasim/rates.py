@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkBudget
+from .channel import MAX_PG, LinkBudget
 from .transceiver import PowerAllocation
 
 
@@ -132,17 +132,20 @@ def oma_rates(alloc: PowerAllocation, lb: LinkBudget, beta: float) -> RatePair:
     return _pair(Scheme.OMA, alloc.p, alloc.p1, alloc.p2, lb, beta)
 
 
+def _check_p_gamma(p_gamma: float) -> None:
+    if not 0.0 <= p_gamma <= MAX_PG:
+        raise ValueError(f"p_gamma {p_gamma!r} outside [0, {MAX_PG:g}]")
+
+
 def noma_sum_symmetric(p_gamma: float) -> float:
     """NOMA sum rate at equal per-user SNR; the split telescopes away."""
-    if p_gamma < 0.0:
-        raise ValueError("p_gamma must be nonnegative")
+    _check_p_gamma(p_gamma)
     return math.log2(1.0 + p_gamma)
 
 
 def rama1_sum_symmetric(p_gamma: float) -> float:
     """Equal-split interference-free sum rate at equal per-user SNR."""
-    if p_gamma < 0.0:
-        raise ValueError("p_gamma must be nonnegative")
+    _check_p_gamma(p_gamma)
     return math.log2(1.0 + p_gamma + 0.25 * p_gamma * p_gamma)
 
 

@@ -121,11 +121,11 @@ def trace_region(scheme, lb: LinkBudget, n: int = 1000) -> RateRegion:
     if scheme is Scheme.RECONFIG_NOMA:
         raise ValueError(f"region tracing is not defined for scheme {scheme.value!r}")
     if n < 2:
-        raise ValueError("grid resolution n must be >= 2")
+        raise ValueError("grid_n: grid resolution n must be >= 2")
     points = n * n if scheme is Scheme.OMA else n
     if points > MAX_REGION_POINTS:
         raise ValueError(
-            f"n = {n} gives {points} {scheme.value} allocation points, "
+            f"grid_n: n = {n} gives {points} {scheme.value} allocation points, "
             f"above the cap of {MAX_REGION_POINTS}"
         )
     t = np.linspace(0.0, 1.0, n)

@@ -35,6 +35,35 @@ RECONFIG_SWEEP_ALPHA = 0.5
 # Each grid point draws 4 * num_samples normals and evaluates rates on
 # num_samples-element arrays; 10^6 keeps that near 100 MB.
 MAX_FADING_SAMPLES = 1_000_000
+MAX_GRID_POINTS = 10_000  # sweep grid points; each is one row per scheme and split
+
+
+def build_grid(start: float, stop: float, step: float) -> tuple:
+    """Levels start, start + step, ... up to stop dB, at most MAX_GRID_POINTS.
+
+    Errors name the CLI keys grid_start_db, grid_stop_db and grid_step_db.
+    """
+    for key, value in (("grid_start_db", start), ("grid_stop_db", stop), ("grid_step_db", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key}: {value!r} is not finite")
+    if step <= 0.0:
+        raise ValueError("grid_step_db must be positive")
+    if stop < start:
+        raise ValueError("grid_stop_db must be >= grid_start_db")
+    span = (stop - start) / step + 1e-9  # may be huge or infinite: cap it before int()
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_step_db: {step!r} gives more than {MAX_GRID_POINTS} grid points "
+            f"from {start!r} to {stop!r} dB"
+        )
+    count = int(math.floor(span)) + 1
+    grid = tuple(min(start + i * step, stop) for i in range(count))  # rounding may overshoot
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"grid_step_db: {step!r} is below the float resolution of the levels "
+            f"from {start!r} to {stop!r} dB, so grid points repeat"
+        )
+    return grid
 
 
 def default_grid(x_axis: str) -> tuple[float, ...]:
@@ -43,8 +72,7 @@ def default_grid(x_axis: str) -> tuple[float, ...]:
     Ratio sweeps start at 0 dB so user 1 never falls below user 2, matching
     the ordering the asymmetric dominance results assume.
     """
-    start = -10 if x_axis == X_AXIS_SYMMETRIC else 0
-    return tuple(float(x) for x in range(start, 41))
+    return build_grid(-10.0 if x_axis == X_AXIS_SYMMETRIC else 0.0, 40.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -56,10 +84,10 @@ class FadingConfig:
 
     def __post_init__(self):
         if self.num_samples < 1:
-            raise ValueError("fading num_samples must be >= 1")
+            raise ValueError("fading_samples: fading num_samples must be >= 1")
         if self.num_samples > MAX_FADING_SAMPLES:
             raise ValueError(
-                f"fading num_samples {self.num_samples} is above the cap of "
+                f"fading_samples: fading num_samples {self.num_samples} is above the cap of "
                 f"{MAX_FADING_SAMPLES}"
             )
 

@@ -17,6 +17,11 @@ import numpy as np
 
 from .constellations import TWO_PI, Constellation, relate
 
+# verify_chain squares chain amplitudes up to about 1e3 * p (qam-1024's
+# largest squared amplitude ratio is 961); capping the power at 1e100 keeps
+# every square finite, as channel.DB_LIMIT does for the gains.
+MAX_TOTAL_POWER = 1e100
+
 RAMA1_MODULUS_ERROR = (
     "PSK-modulus symbols required: |s1| != |s2|, and an equal power "
     "split with a pure phase rotation cannot change amplitude"
@@ -32,6 +37,8 @@ class PowerAllocation:
     p2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p, self.p1, self.p2))):
+            raise ValueError("powers p, p1 and p2 must be finite")
         if self.p1 < 0.0 or self.p2 < 0.0:
             raise ValueError("per-user powers must be nonnegative")
         if abs(self.p1 + self.p2 - self.p) > 1e-12 * max(1.0, self.p):
@@ -142,9 +149,14 @@ def verify_chain(constellation: Constellation, scheme, splits, p: float) -> tupl
     `splits` is unused, and the single pair uses `rama1_transmit` and its
     `total_power`; a pair of unequal moduli raises the same ValueError as
     `rama1_transmit`. Every value equals the scalar chains' result bit for bit.
+    p must lie in (0, MAX_TOTAL_POWER]; NaN is refused too.
     """
     if scheme not in ("rama1", "rama2"):
         raise ValueError(f"no transmit chain to verify for scheme {scheme!r}")
+    if not p > 0.0:
+        raise ValueError("total_power must be positive")
+    if p > MAX_TOTAL_POWER:
+        raise ValueError(f"total_power: {p!r} is above the cap of {MAX_TOTAL_POWER:g}")
     points = constellation.points
     pairs = len(points) ** 2
     re = np.array([s.real for s in points])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import ramasim
 import ramasim.cli as cli
+from ramasim import constellations, sweep
 from ramasim import __version__
 
 REPO = Path(__file__).resolve().parent.parent
@@ -347,10 +348,10 @@ def test_size_caps_are_config_errors(argv, key):
 def test_sweep_grid_cap_is_exact():
     # 0.25 dB steps are exact in binary, so the point count is exact too.
     step = 0.25
-    top = (cli.MAX_GRID_POINTS - 1) * step
-    assert len(cli._build_grid(0.0, top, step)) == cli.MAX_GRID_POINTS
-    with pytest.raises(cli.ConfigError, match="grid_step_db"):
-        cli._build_grid(0.0, top + step, step)
+    top = (sweep.MAX_GRID_POINTS - 1) * step
+    assert len(sweep.build_grid(0.0, top, step)) == sweep.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="grid_step_db"):
+        sweep.build_grid(0.0, top + step, step)
 
 
 # Found by sampling grids that end at 1000 dB: start + i*step rounded the
@@ -380,7 +381,7 @@ def _grid_bounds(draw):
 @example(OVERSHOOT)
 def test_sweep_grid_never_passes_its_stop(bounds):
     start, stop, step = bounds
-    grid = cli._build_grid(start, stop, step)
+    grid = sweep.build_grid(start, stop, step)
     assert grid[0] == start and grid[-1] <= stop
     unclamped = tuple(start + i * step for i in range(len(grid)))
     if unclamped[-1] <= stop:
@@ -409,7 +410,7 @@ def test_bad_scheme_lists_and_library_checks_are_config_errors(argv, key):
 
 
 def test_signal_check_order_cap_is_inclusive(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MAX_ORDER", 16)
+    monkeypatch.setattr(constellations, "MAX_ORDER", 16)
     argv = ["signal-check", "--constellation", "psk", "--scheme", "rama1", "--order"]
     assert _run(argv + ["16"], capsys)[0] == 0
     code, _out, err = _run(argv + ["17"], capsys)

@@ -22,8 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ramasim.cli as cli
+from ramasim.constellations import MAX_ORDER
 from ramasim.region import MAX_REGION_POINTS
-from ramasim.sweep import MAX_FADING_SAMPLES
+from ramasim.sweep import MAX_FADING_SAMPLES, MAX_GRID_POINTS
+from ramasim.transceiver import MAX_TOTAL_POWER
 
 MISSING_DIR = os.path.join(tempfile.gettempdir(), "ramasim-no-such-dir")
 
@@ -66,17 +68,17 @@ SWEEP_GRIDS = (
      (None, None, "2.5")],
     [("10", "0", None), ("3000", "3000", None), (None, "1000.5", None),
      ("-1000.5", None, "5"), (None, None, "0"), (None, None, "-1"), (None, None, "5e-324"),
-     (None, None, "1e-12"), (None, None, "0.005"), ("0", str(cli.MAX_GRID_POINTS), "1"),
+     (None, None, "1e-12"), (None, None, "0.005"), ("0", str(MAX_GRID_POINTS), "1"),
      (None, None, "abc")],
 )
 
 SIGNAL_FLAGS = {
     "--constellation": (["psk", "qam"], ["ask", ""]),
-    "--order": (["2", "4", "8", "16"], ["3", "0", "-4", "1.5", str(cli.MAX_ORDER + 1)] + JUNK),
+    "--order": (["2", "4", "8", "16"], ["3", "0", "-4", "1.5", str(MAX_ORDER + 1)] + JUNK),
     "--scheme": (["rama1", "rama2"], ["noma", "rama1,rama2", ""]),
     "--splits": SPLITS,
-    "--total-power": (["1", "0.5", str(cli.MAX_TOTAL_POWER), "1e-308", "5e-324"],
-                      ["0", "-1", "1e306", "1e308", repr(cli.MAX_TOTAL_POWER * 1.000001), "abc"]),
+    "--total-power": (["1", "0.5", str(MAX_TOTAL_POWER), "1e-308", "5e-324"],
+                      ["0", "-1", "1e306", "1e308", repr(MAX_TOTAL_POWER * 1.000001), "abc"]),
 }
 SIGNAL_REQUIRED = ("--constellation", "--order", "--scheme")
 

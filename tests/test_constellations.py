@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ramasim.constellations import (
+    MAX_ORDER,
     TWO_PI,
     Constellation,
     SymbolRelation,
@@ -78,10 +79,19 @@ def test_qam_unit_power_no_origin(order):
     assert len(set(const.points)) == order
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 8, 12, 15])
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 12, 15, -4])
 def test_qam_rejects_non_square_order(order):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="perfect square"):
         make_qam(order)
+
+
+@pytest.mark.parametrize("make", [make_psk, make_qam])
+def test_order_cap_is_checked_before_allocation(make):
+    # Without the cap, 10**9 starts building a billion-point tuple.
+    assert make(MAX_ORDER).order == MAX_ORDER
+    for order in (MAX_ORDER + 1, 10**9):
+        with pytest.raises(ValueError, match=f"order: {order} is above the cap of {MAX_ORDER}"):
+            make(order)
 
 
 def test_constellation_rejects_unnormalized_points():

@@ -1,14 +1,17 @@
 """Byte-for-byte replay of outputs recorded under tests/golden/.
 
 The fixtures pin the exact output of the region and sweep commands (CSV
-files), of signal-check (reports on stdout) and of every ``--help`` page,
-so a refactor that changes any printed digit, row order, config-echo line
-or help line fails here. The signal-check reports print rounding errors
+files), of signal-check (reports on stdout), of every ``--help`` page and
+of the refusal surface (``config_errors.txt``: one refused argv per line
+with its exit code and its one stderr line), so a refactor that changes
+any printed digit, row order, config-echo line, help line or error message
+fails here. The signal-check reports print rounding errors
 near 1e-16, so they also pin the chain arithmetic bit for bit. Never
 regenerate them to make this test pass: a mismatch means the code under
 test changed its output.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,18 @@ def test_help_matches_golden_page(name, monkeypatch, capsys):
         cli.main(HELP_CASES[name] + ["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+# One JSON object per line: argv, the config file text it reads as
+# ramasim.cfg (or null), exit code and stderr line. Each argv has one fault.
+REFUSALS = [json.loads(line) for line in (GOLDEN / "config_errors.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("case", REFUSALS, ids=[f"line{n}" for n in range(1, len(REFUSALS) + 1)])
+def test_refused_argv_matches_golden_error(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if case["config"] is not None:
+        (tmp_path / "ramasim.cfg").write_text(case["config"])
+    assert cli.main(case["argv"]) == case["exit"]
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", case["stderr"] + "\n")

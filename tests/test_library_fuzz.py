@@ -1,0 +1,133 @@
+"""Fuzz the library entry points the commands call: finite values or ValueError.
+
+Every call runs with all warnings turned into errors and without
+``np.errstate``, so an overflow or an invalid operation fails the test
+instead of leaking an inf or a NaN. Floats span the whole domain: NaN,
++-inf, 1e308 and subnormals included. Sizes stay small (orders up to 16 for
+the chain check, at most 20 sweep grid points, n <= 40 for regions), so the
+whole file runs in a few seconds; the caps are pinned by direct tests.
+"""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ramasim.channel import from_db
+from ramasim.constellations import MAX_ORDER, make_psk, make_qam
+from ramasim.rates import Scheme
+from ramasim.region import trace_region
+from ramasim.sweep import (
+    MAX_FADING_SAMPLES,
+    X_AXIS_RATIO,
+    X_AXIS_SYMMETRIC,
+    FadingConfig,
+    SweepConfig,
+    build_grid,
+    run_sweep,
+)
+from ramasim.transceiver import MAX_TOTAL_POWER, verify_chain
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+EDGES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0,
+         MAX_TOTAL_POWER, 1000.0, -1000.0]
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(EDGES))
+# dB levels: inside the +-1000 dB domain, near it, or anywhere
+LEVEL = st.one_of(st.floats(-1000.0, 1000.0), st.floats(-1100.0, 1100.0), ANY_FLOAT)
+
+
+def _call(fn, *args):
+    """fn(*args) with warnings as errors; None if it raised ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args)
+        except ValueError:
+            return None
+
+
+def _all_finite(values) -> bool:
+    return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
+
+
+@FUZZ
+@given(st.sampled_from([make_psk, make_qam]), st.integers(-10, MAX_ORDER + 1))
+def test_constellation_builders(make, order):
+    const = _call(make, order)
+    if const is not None:
+        assert const.order == order <= MAX_ORDER
+        assert all(math.isfinite(s.real) and math.isfinite(s.imag) for s in const.points)
+
+
+@st.composite
+def _small_constellations(draw):
+    if draw(st.booleans()):
+        return make_psk(draw(st.integers(2, 16)))
+    return make_qam(draw(st.sampled_from([4, 16])))
+
+
+@FUZZ
+@given(
+    _small_constellations(),
+    st.sampled_from(["rama1", "rama2"]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    ANY_FLOAT,
+)
+# verify_chain once returned ((nan, nan),) for p = NaN and overflowed at 1e308.
+@example(make_qam(16), "rama2", [0.5], math.nan)
+@example(make_qam(16), "rama2", [0.5], 1e308)
+def test_verify_chain(const, scheme, splits, p):
+    errors = _call(verify_chain, const, scheme, tuple(splits), p)
+    if errors is not None:
+        assert 0.0 < p <= MAX_TOTAL_POWER
+        assert _all_finite(errors)
+
+
+@FUZZ
+@given(st.integers(), st.integers())
+def test_fading_config(num_samples, seed):
+    fading = _call(FadingConfig, num_samples, seed)
+    if fading is not None:
+        assert 1 <= fading.num_samples <= MAX_FADING_SAMPLES
+
+
+@st.composite
+def _sweeps(draw):
+    start, stop = sorted([draw(LEVEL), draw(LEVEL)])
+    even = (stop - start) / draw(st.integers(1, 19))
+    step = draw(st.one_of(st.just(even), ANY_FLOAT))
+    schemes = draw(st.lists(st.sampled_from(list(Scheme)), min_size=1, max_size=5, unique=True))
+    splits = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    fading = draw(st.one_of(st.none(), st.builds(FadingConfig, st.integers(1, 4), st.integers())))
+    x_axis = draw(st.sampled_from([X_AXIS_SYMMETRIC, X_AXIS_RATIO]))
+    return (start, stop, step), schemes, x_axis, splits, fading, draw(LEVEL)
+
+
+@FUZZ
+@given(_sweeps())
+def test_build_grid_then_sweep(setup):
+    bounds, schemes, x_axis, splits, fading, anchor = setup
+    grid = _call(build_grid, *bounds)
+    if grid is None or len(grid) > 20:
+        return
+    assert _all_finite(grid)
+    cfg = _call(SweepConfig, schemes, x_axis, grid, splits, fading, anchor)
+    if cfg is None:
+        return
+    result = _call(run_sweep, cfg)
+    assert result is not None
+    assert _all_finite([(row.sum_rate, row.stderr) for row in result.rows])
+
+
+@FUZZ
+@given(st.sampled_from(list(Scheme)), LEVEL, LEVEL, st.integers(-2, 40))
+def test_trace_region(scheme, g1_db, g2_db, n):
+    lb = _call(from_db, g1_db, g2_db)
+    if lb is None:
+        return
+    region = _call(trace_region, scheme, lb, n)
+    if region is not None:
+        assert _all_finite(region.r1) and _all_finite(region.r2)

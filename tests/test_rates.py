@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramasim.channel import DB_LIMIT, LinkBudget, from_db
+from ramasim.channel import DB_LIMIT, MAX_PG, LinkBudget, from_db
 from ramasim.rates import (
     SCHEMES,
     RatePair,
@@ -194,8 +194,11 @@ def test_sum_symmetric_closed_forms():
     assert math.isclose(rama1_sum_symmetric(x), 8.142733927089106, rel_tol=1e-12)
     assert noma_sum_symmetric(0.0) == 0.0
     assert rama1_sum_symmetric(0.0) == 0.0
-    with pytest.raises(ValueError):
-        noma_sum_symmetric(-1.0)
+    assert math.isfinite(rama1_sum_symmetric(MAX_PG))
+    for fn in (noma_sum_symmetric, rama1_sum_symmetric):
+        for p_gamma in (-1.0, 1e200, math.inf, math.nan):
+            with pytest.raises(ValueError, match="p_gamma"):
+                fn(p_gamma)
 
 
 def test_rama1_sum_strictly_dominates_symmetric_noma():

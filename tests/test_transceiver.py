@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ramasim.constellations import make_psk, make_qam
 from ramasim.transceiver import (
+    MAX_TOTAL_POWER,
     PowerAllocation,
     TxSignal,
     rama1_transmit,
@@ -25,6 +27,10 @@ def test_allocation_validation():
         PowerAllocation(1.0, 0.6, 0.6)
     with pytest.raises(ValueError, match="fraction1"):
         PowerAllocation.from_fraction(1.0, 1.5)
+    with pytest.raises(ValueError, match="finite"):
+        PowerAllocation(math.nan, math.nan, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        PowerAllocation.from_fraction(math.inf, 0.5)  # p2 = inf - inf = nan
 
 
 def test_allocation_from_fraction_sums_exactly():
@@ -228,3 +234,14 @@ def test_verify_chain_rama1_rejects_unequal_moduli_like_rama1_transmit(order):
 def test_verify_chain_rejects_schemes_without_a_chain():
     with pytest.raises(ValueError, match="noma"):
         verify_chain(make_psk(4), "noma", (0.5,), 1.0)
+
+
+def test_verify_chain_total_power_bounds():
+    const = make_qam(16)
+    assert verify_chain(const, "rama2", (0.5,), MAX_TOTAL_POWER)[0][0] >= 0.0
+    for p in (0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^total_power must be positive$"):
+            verify_chain(const, "rama2", (0.5,), p)
+    for p in (1e308, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"total_power: {p!r} is above the cap")):
+            verify_chain(const, "rama2", (0.5,), p)
