@@ -32,7 +32,6 @@ class RateRegion:
     scheme: Scheme
     r1: np.ndarray
     r2: np.ndarray
-    grid_resolution: int
 
     def __post_init__(self):
         r1 = np.array(self.r1, dtype=float)
@@ -61,27 +60,6 @@ class RateRegion:
         return float(self.r2[0])
 
 
-def _pareto_mask(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Mask of points not dominated (>= in both coordinates, > in one).
-
-    Exact duplicates do not dominate each other, so they all survive.
-    """
-    n = r1.size
-    order = np.lexsort((-r2, -r1))  # r1 descending, r2 descending within ties
-    s1 = r1[order]
-    s2 = r2[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.not_equal(s1[1:], s1[:-1], out=new_group[1:])
-    group_id = np.cumsum(new_group) - 1
-    group_max = s2[new_group]  # first point of each r1 group has that group's max r2
-    best_before = np.concatenate(([-np.inf], np.maximum.accumulate(group_max)[:-1]))
-    keep = (s2 == group_max[group_id]) & (group_max[group_id] > best_before[group_id])
-    mask = np.zeros(n, dtype=bool)
-    mask[order[keep]] = True
-    return mask
-
-
 def _prefilter(r1: np.ndarray, r2: np.ndarray, scale: float, best: np.ndarray) -> np.ndarray:
     """Mask of points whose r2 beats every r1 bin above their own.
 
@@ -96,17 +74,20 @@ def _prefilter(r1: np.ndarray, r2: np.ndarray, scale: float, best: np.ndarray) -
     return r2 > above[bins]
 
 
-def _frontier(scheme: Scheme, r1: np.ndarray, r2: np.ndarray, n: int) -> RateRegion:
-    mask = _pareto_mask(r1, r2)
-    f1 = r1[mask]
-    f2 = r2[mask]
-    order = np.argsort(f1, kind="stable")
-    f1 = f1[order]
-    f2 = f2[order]
-    keep = np.empty(f1.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(f1[1:], f1[:-1], out=keep[1:])  # collapse exact duplicates
-    return RateRegion(scheme, f1[keep], f2[keep], n)
+def _frontier(scheme: Scheme, r1: np.ndarray, r2: np.ndarray) -> RateRegion:
+    """Points not dominated (>= in both coordinates, > in one), r1 ascending.
+
+    One sort by (r1, r2): the last point of each equal-r1 run holds that
+    run's largest r2 and stays when it beats every r2 at a larger r1.
+    Exact duplicates collapse to one point.
+    """
+    order = np.lexsort((r2, r1))
+    s1, s2 = r1[order], r2[order]
+    last = np.append(s1[1:] != s1[:-1], True)
+    s1, s2 = s1[last], s2[last]
+    above = np.append(np.maximum.accumulate(s2[:0:-1])[::-1], -np.inf)
+    keep = s2 > above
+    return RateRegion(scheme, s1[keep], s2[keep])
 
 
 def trace_region(scheme, lb: LinkBudget, n: int = 1000) -> RateRegion:
@@ -147,7 +128,7 @@ def trace_region(scheme, lb: LinkBudget, n: int = 1000) -> RateRegion:
         kept2.append(r2[keep])
     r1, r2 = np.concatenate(kept1), np.concatenate(kept2)
     del kept1, kept2  # the exact pass needs only one copy of the survivors
-    return _frontier(scheme, r1, r2, n)
+    return _frontier(scheme, r1, r2)
 
 
 def r2_at_r1(region: RateRegion, r1_target: float) -> float:

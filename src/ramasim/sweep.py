@@ -3,20 +3,20 @@
 Two x-axis modes, named as the CLI's `mode` values: `X_AXIS_SYMMETRIC`
 ("symmetric") drives both users' p*gamma through the same level,
 `X_AXIS_RATIO` ("ratio") fixes user 2 at an anchor level and sweeps the
-gain ratio (so user 1 is at least as strong for ratios >= 0 dB). A row
-is emitted per (grid point, scheme, split), in that order. Each grid
-point's linear gains come from a scalar `db_to_linear`. Without fading,
-the gains are stacked into one array per user and each (scheme, split)
-is evaluated once over the whole grid. With fading enabled, each grid
-point draws its own Rayleigh realizations from a stream seeded
-`seed + grid_index` and is evaluated on its own, so memory stays bounded
-per point (`MAX_FADING_SAMPLES`); the same realizations are shared by
-every scheme and split at that point.
+gain ratio (so user 1 is at least as strong for ratios >= 0 dB). Each grid
+point's linear gains come from a scalar `db_to_linear`. One loop evaluates
+each (scheme, split) on planes of gains whose last axis holds realizations.
+Without fading, one (G, 1) plane holds every point's mean gains. With
+fading, each point gets an (N,) plane of Rayleigh realizations from a
+stream seeded `seed + grid_index`, shared by every scheme and split, so
+memory stays bounded per point (`MAX_FADING_SAMPLES`). The rows are then
+built once, per (grid point, scheme, split), in that order.
 
 Scheme parameters the sweep fixes: OMA ties the bandwidth share to the
 power split, and reconfigurable-antenna NOMA uses an equal beam split.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -172,34 +172,36 @@ def _point_gains(cfg: SweepConfig, x_db: float) -> tuple:
     return db_to_linear(x_db) * g2, g2
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate the configured schemes over the grid; deterministic per seed."""
-    grid = cfg.resolved_grid()
-    gains = [_point_gains(cfg, x_db) for x_db in grid]
+def _planes(cfg: SweepConfig, gains: list):
+    """(grid index or slice, g1, g2) planes of linear gains; fading draws user 1 first."""
     if cfg.fading is None:
-        g1 = np.array([g for g, _ in gains])
-        g2 = np.array([g for _, g in gains])
-        curves = [
-            [_sum_rate(scheme, g1, g2, split).tolist() for split in cfg.splits]
-            for scheme in cfg.schemes
-        ]
-        rows = [
-            SweepRow(float(x_db), scheme, split, curves[i][j][index], 0.0)
-            for index, x_db in enumerate(grid)
-            for i, scheme in enumerate(cfg.schemes)
-            for j, split in enumerate(cfg.splits)
-        ]
-        return SweepResult(tuple(rows))
+        g1, g2 = np.array(list(zip(*gains)))[..., None]
+        yield slice(None), g1, g2
+        return
     count = cfg.fading.num_samples
-    rows = []
-    for index, (x_db, (g1, g2)) in enumerate(zip(grid, gains)):
+    for index, (g1, g2) in enumerate(gains):
         rng = RngState(cfg.fading.seed).derive(index)
         fade1 = np.abs(rayleigh_fades(rng, g1, count)) ** 2
         fade2 = np.abs(rayleigh_fades(rng, g2, count)) ** 2
-        for scheme in cfg.schemes:
-            for split in cfg.splits:
-                values = np.asarray(_sum_rate(scheme, fade1, fade2, split), dtype=float)
-                mean = float(values.mean())
-                err = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-                rows.append(SweepRow(float(x_db), scheme, split, mean, err))
+        yield index, fade1, fade2
+
+
+def run_sweep(cfg: SweepConfig) -> SweepResult:
+    """Evaluate the configured schemes over the grid; deterministic per seed."""
+    grid = cfg.resolved_grid()
+    shape = (len(grid), len(cfg.schemes), len(cfg.splits))
+    means, errors = np.empty(shape), np.zeros(shape)  # stderr stays 0 when N = 1
+    for pts, g1, g2 in _planes(cfg, [_point_gains(cfg, x_db) for x_db in grid]):
+        count = g1.shape[-1]
+        for j, scheme in enumerate(cfg.schemes):
+            for k, split in enumerate(cfg.splits):
+                values = _sum_rate(scheme, g1, g2, split)
+                means[pts, j, k] = values.mean(axis=-1)
+                if count > 1:
+                    errors[pts, j, k] = values.std(axis=-1, ddof=1) / math.sqrt(count)
+    keys = itertools.product(grid, cfg.schemes, cfg.splits)  # the C order of means
+    # Without fading every stderr is 0: one shared float, not one object per row.
+    errs = errors.ravel().tolist() if cfg.fading else itertools.repeat(0.0)
+    cells = zip(keys, means.ravel().tolist(), errs)
+    rows = [SweepRow(float(x), scheme, split, m, e) for (x, scheme, split), m, e in cells]
     return SweepResult(tuple(rows))

@@ -14,7 +14,6 @@ from ramasim.region import (
     PREFILTER_BINS,
     RateRegion,
     _frontier,
-    _pareto_mask,
     _prefilter,
     r2_at_r1,
     trace_region,
@@ -23,47 +22,71 @@ from ramasim.region import (
 REGION_SCHEMES = (Scheme.OMA, Scheme.NOMA, Scheme.RAMA1, Scheme.RAMA2)
 
 
-def _mask(points):
+def _front(points):
     r1 = np.array([a for a, _ in points])
     r2 = np.array([b for _, b in points])
-    return _pareto_mask(r1, r2).tolist()
+    region = _frontier(Scheme.NOMA, r1, r2)
+    return list(zip(region.r1.tolist(), region.r2.tolist()))
 
 
 def test_pareto_filter_drops_dominated_points():
     pts = [(1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (2.0, 0.5)]
-    assert _mask(pts) == [False, True, True, False]
+    assert _front(pts) == [(0.5, 3.0), (2.0, 2.0)]
 
 
 def test_pareto_filter_keeps_incomparable_points():
     pts = [(2.0, 1.0), (1.0, 2.0), (1.5, 1.5)]
-    assert _mask(pts) == [True, True, True]
+    assert _front(pts) == [(1.0, 2.0), (1.5, 1.5), (2.0, 1.0)]
 
 
 def test_pareto_filter_exact_duplicates_survive():
-    # duplicates are >= in both coordinates but > in neither
-    assert _mask([(1.0, 1.0), (1.0, 1.0)]) == [True, True]
-    assert _mask([(1.0, 1.0)]) == [True]
+    # duplicates are >= in both coordinates but > in neither: the point stays, once
+    assert _front([(1.0, 1.0), (1.0, 1.0)]) == [(1.0, 1.0)]
+    assert _front([(1.0, 1.0)]) == [(1.0, 1.0)]
 
 
 def test_pareto_filter_equal_r1_keeps_only_max_r2():
     pts = [(1.0, 2.0), (1.0, 1.0), (0.5, 2.5)]
-    assert _mask(pts) == [True, False, True]
+    assert _front(pts) == [(0.5, 2.5), (1.0, 2.0)]
+
+
+_value = st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 1.0, 1.75, 2.0])
+
+
+def _dominance_frontier(points):
+    """O(n^2) reference: the distinct points no other point dominates, r1 ascending."""
+    distinct = set(points)
+    return sorted(
+        (a, b) for a, b in distinct
+        if not any(c >= a and d >= b and (c, d) != (a, b) for c, d in distinct)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_value, _value), min_size=1, max_size=40))
+@example([(1.0, 0.25), (1.0, 2.0), (1.0, 2.0), (1.0, 0.0)])  # constant r1
+@example([(0.25, 1.0), (2.0, 1.0), (0.5, 1.0), (2.0, 1.0)])  # constant r2
+@example([(0.5, 1.75), (0.5000000000000001, 1.75), (0.5, 2.0)])  # ties one ulp apart
+def test_frontier_equals_brute_force_dominance_bit_for_bit(points):
+    got = _front(points)
+    want = _dominance_frontier(points)
+    assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
 
 
 def test_rate_region_invariant_checks():
     with pytest.raises(ValueError, match="strictly increasing"):
-        RateRegion(Scheme.NOMA, [1.0, 1.0], [1.0, 0.5], 2)
+        RateRegion(Scheme.NOMA, [1.0, 1.0], [1.0, 0.5])
     with pytest.raises(ValueError, match="nonincreasing"):
-        RateRegion(Scheme.NOMA, [1.0, 2.0], [1.0, 1.5], 2)
+        RateRegion(Scheme.NOMA, [1.0, 2.0], [1.0, 1.5])
     with pytest.raises(ValueError, match="nonempty"):
-        RateRegion(Scheme.NOMA, [], [], 2)
+        RateRegion(Scheme.NOMA, [], [])
     with pytest.raises(ValueError, match="equal length"):
-        RateRegion(Scheme.NOMA, [1.0, 2.0], [1.0], 2)
+        RateRegion(Scheme.NOMA, [1.0, 2.0], [1.0])
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            RateRegion(Scheme.NOMA, [0.0, 1.0], [1.0, bad], 2)
+            RateRegion(Scheme.NOMA, [0.0, 1.0], [1.0, bad])
     source = np.array([0.0, 1.0])
-    region = RateRegion(Scheme.NOMA, source, [2.0, 0.0], 2)
+    region = RateRegion(Scheme.NOMA, source, [2.0, 0.0])
     source[0] = 5.0  # the region keeps its own copy
     assert region.r1.tolist() == [0.0, 1.0]
     with pytest.raises(ValueError):
@@ -199,8 +222,8 @@ def test_r2_at_r1_endpoints_and_range():
 def test_trace_region_caps_allocation_points(monkeypatch):
     monkeypatch.setattr(region_module, "MAX_REGION_POINTS", 100)
     lb = from_db(10.0, 10.0)
-    assert trace_region("oma", lb, 10).grid_resolution == 10  # 100 points
-    assert trace_region("noma", lb, 100).grid_resolution == 100
+    trace_region("oma", lb, 10)  # 100 points: at the cap, so it traces
+    trace_region("noma", lb, 100)
     with pytest.raises(ValueError, match="n = 11 gives 121 oma allocation points"):
         trace_region("oma", lb, 11)
     with pytest.raises(ValueError, match="n = 101 gives 101 noma allocation points"):
@@ -215,13 +238,13 @@ def test_trace_region_on_a_gain_above_the_db_scale_names_the_gain():
 
 
 def _unstreamed(scheme, lb, n):
-    """Reference trace: the whole grid at once, then the exact Pareto pass."""
+    """Reference trace: the whole grid at once, then the exact frontier pass."""
     t = np.linspace(0.0, 1.0, n)
     band = None
     if scheme is Scheme.OMA:
         band, t = np.meshgrid(t, t, indexing="ij")
     r1, r2 = SCHEMES[scheme](lb.p, t * lb.p, (1.0 - t) * lb.p, lb.gamma1, lb.gamma2, band)
-    return _frontier(scheme, np.ravel(r1), np.ravel(r2), n)
+    return _frontier(scheme, np.ravel(r1), np.ravel(r2))
 
 
 def _hex(values):
@@ -281,9 +304,6 @@ def test_prefilter_single_points():
     assert _single(2.5, 0.0, scale, best) == [True]  # past the range: clipped to the top bin
 
 
-_value = st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 1.0, 1.75, 2.0])
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.tuples(_value, _value), min_size=1, max_size=40),
@@ -298,6 +318,8 @@ def test_prefilter_keeps_the_frontier_and_drops_only_dominated_points(points, ch
         [_prefilter(r1[i : i + chunk], r2[i : i + chunk], scale, best)
          for i in range(0, r1.size, chunk)]
     )
-    assert not np.any(_pareto_mask(r1, r2) & ~keep)
+    front = _frontier(Scheme.NOMA, r1, r2)
+    for a, b in zip(front.r1, front.r2):
+        assert np.all(keep[(r1 == a) & (r2 == b)])  # every copy of a frontier point
     for a, b in zip(r1[~keep], r2[~keep]):
         assert np.any((r1 > a) & (r2 >= b))

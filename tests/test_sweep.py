@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ramasim.channel import DB_LIMIT, db_to_linear
+from ramasim.channel import DB_LIMIT, RngState, db_to_linear, rayleigh_fades
 from ramasim.rates import Scheme
 from ramasim.sweep import (
     DEFAULT_SPLITS,
@@ -235,23 +236,38 @@ def test_fading_realizations_shared_within_grid_point():
 
 
 def _per_point_sweep(cfg):
-    """run_sweep's deterministic contract as one scalar _sum_rate call per row."""
+    """run_sweep's contract, one grid point at a time.
+
+    Without fading: one scalar _sum_rate call per row. With fading: each
+    point draws user 1's then user 2's fades from RngState(seed).derive(index),
+    and each row takes the 1-D mean and standard error (0 when N = 1).
+    """
     rows = []
-    for x_db in cfg.resolved_grid():
+    for index, x_db in enumerate(cfg.resolved_grid()):
         if cfg.x_axis == X_AXIS_SYMMETRIC:
             g1 = g2 = db_to_linear(x_db)
         else:
             g2 = db_to_linear(cfg.ratio_anchor_db)
             g1 = db_to_linear(x_db) * g2
+        if cfg.fading is not None:
+            count = cfg.fading.num_samples
+            rng = RngState(cfg.fading.seed).derive(index)
+            g1 = np.abs(rayleigh_fades(rng, g1, count)) ** 2
+            g2 = np.abs(rayleigh_fades(rng, g2, count)) ** 2
         for scheme in cfg.schemes:
             for split in cfg.splits:
-                sum_rate = float(_sum_rate(scheme, g1, g2, split))
-                rows.append(SweepRow(float(x_db), scheme, split, sum_rate, 0.0))
+                if cfg.fading is None:
+                    sum_rate, err = float(_sum_rate(scheme, g1, g2, split)), 0.0
+                else:
+                    values = np.asarray(_sum_rate(scheme, g1, g2, split), dtype=float)
+                    sum_rate = float(values.mean())
+                    err = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+                rows.append(SweepRow(float(x_db), scheme, split, sum_rate, err))
     return SweepResult(tuple(rows))
 
 
 @st.composite
-def _deterministic_configs(draw):
+def _configs(draw):
     x_axis = draw(st.sampled_from([X_AXIS_SYMMETRIC, X_AXIS_RATIO]))
     anchor, lo, hi = 0.0, -DB_LIMIT, DB_LIMIT
     if x_axis == X_AXIS_RATIO:
@@ -262,28 +278,42 @@ def _deterministic_configs(draw):
     level = st.one_of(
         st.sampled_from([lo, hi]), st.floats(max(lo, -60.0), min(hi, 60.0)), st.floats(lo, hi)
     )
-    grid = sorted(set(draw(st.lists(level, min_size=1, max_size=40))))
+    fading = draw(st.one_of(st.none(), st.builds(
+        FadingConfig,
+        st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 200)),
+        st.integers(0, 2**64 - 1),
+    )))
+    grid = sorted(set(draw(st.lists(level, min_size=1, max_size=10 if fading else 40))))
     schemes = draw(st.lists(st.sampled_from(list(Scheme)), min_size=1, max_size=5))
     splits = draw(st.lists(
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4
     ))
     try:
-        return SweepConfig(schemes, x_axis, tuple(grid), tuple(splits), None, anchor)
+        return SweepConfig(schemes, x_axis, tuple(grid), tuple(splits), fading, anchor)
     except ValueError:  # x + anchor rounded just past the dB domain
         assume(False)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_deterministic_configs())
+def _fading(n, seed=7):
+    return FadingConfig(num_samples=n, seed=seed)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_configs())
 @example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-DB_LIMIT, 0.0, DB_LIMIT), (0.0, 1.0)))
 @example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, DB_LIMIT), (0.0, 1.0), None, -DB_LIMIT))
 @example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (-DB_LIMIT, 0.0), (0.5,), None, DB_LIMIT))
+@example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-10.0, 0.0, 40.0), (0.0, 0.5), _fading(1)))
+@example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-DB_LIMIT, DB_LIMIT), (1.0,), _fading(2)))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 20.0), (0.25,), _fading(3, 2**64 - 1)))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 30.0), DEFAULT_SPLITS, _fading(200), 5.0))
 def test_whole_grid_sweep_equals_per_point_reference_bit_for_bit(cfg):
     # The CSV prints every sum rate, so the grid evaluation must keep each bit,
-    # the sign of zero included.
+    # the sign of zero included; fading means and stderrs are pinned the same way.
     result = run_sweep(cfg)
     reference = _per_point_sweep(cfg)
     assert result == reference
-    assert [row.sum_rate.hex() for row in result.rows] == [
-        row.sum_rate.hex() for row in reference.rows
-    ]
+    for field in ("sum_rate", "stderr"):
+        assert [getattr(row, field).hex() for row in result.rows] == [
+            getattr(row, field).hex() for row in reference.rows
+        ]
