@@ -14,7 +14,9 @@ check), 2 configuration error: a ValueError, whose message names the key.
 """
 
 import argparse
+import contextlib
 import functools
+import itertools
 import math
 import sys
 
@@ -96,20 +98,20 @@ def _ser_floats(values) -> str:
 
 
 def _choice(*options) -> tuple:
-    """(parse, serialize) for one of `options`, each named by its ``.value`` if it has one."""
-    by_name = {getattr(option, "value", option): option for option in options}
+    """(parse, serialize) for one of `options`, each named by its ``str``."""
+    by_name = {str(option): option for option in options}
 
     def parse(text: str):
         if text not in by_name:
             raise ValueError(f"{text!r} is not one of {', '.join(by_name)}")
         return by_name[text]
 
-    return parse, lambda option: getattr(option, "value", option)
+    return parse, str
 
 
 def _schemes(allowed) -> tuple:
     """(parse, serialize) for a comma-separated list of distinct `allowed` schemes."""
-    parse_one, name = _choice(*allowed)
+    parse_one, _ = _choice(*allowed)
 
     def parse(text: str) -> tuple:
         schemes = tuple(parse_one(token.strip()) for token in text.split(","))
@@ -117,7 +119,7 @@ def _schemes(allowed) -> tuple:
             raise ValueError(f"{text!r} names a scheme more than once")
         return schemes
 
-    return parse, lambda schemes: ",".join(map(name, schemes))
+    return parse, lambda schemes: ",".join(map(str, schemes))
 
 
 _FLOAT = (_parse_float, _ser_float)
@@ -239,31 +241,27 @@ def _metadata_lines(command: str, table: dict, params: dict) -> list:
     return lines
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".6g")
-
-
-def _write_output(out: str, lines: list) -> None:
-    text = "\n".join(lines) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_output(out: str, lines) -> None:
+    """Write `lines` to `out` ('-' = stdout) as they are formatted, 2**14 lines a write."""
+    lines = iter(lines)  # islice over a list would restart at its head on every block
+    with (contextlib.nullcontext(sys.stdout) if out == "-"
+          else open(out, "w", encoding="utf-8", newline="")) as fh:
+        while block := list(itertools.islice(lines, 1 << 14)):
+            fh.write("\n".join(block) + "\n")
 
 
 # --- commands ---------------------------------------------------------------
-# Each takes the merged parameters and returns (exit code, output lines).
+# Each takes the merged parameters and returns (exit code, output lines). All
+# work is done before it returns, so a refused input raises before any output.
 
 
 def _cmd_region(params) -> tuple:
     lb = from_db(params["g1_db"], params["g2_db"])
-    lines = ["scheme,r1_bits,r2_bits"]
-    for scheme in params["schemes"]:
-        region = trace_region(scheme, lb, params["grid_n"])
-        for r1, r2 in zip(region.r1.tolist(), region.r2.tolist()):
-            lines.append(f"{scheme.value},{_fmt(r1)},{_fmt(r2)}")
-    return EXIT_OK, lines
+    regions = [(s, trace_region(s, lb, params["grid_n"])) for s in params["schemes"]]
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(s), r.r1.tolist(), r.r2.tolist()) for s, r in regions
+    )
+    return EXIT_OK, itertools.chain(["scheme,r1_bits,r2_bits"], map("%s,%.6g,%.6g".__mod__, rows))
 
 
 def _cmd_sweep(params) -> tuple:
@@ -281,13 +279,8 @@ def _cmd_sweep(params) -> tuple:
         fading=fading,
         ratio_anchor_db=params["ratio_anchor_db"],
     )
-    lines = ["x_db,scheme,split,sum_rate_bits,stderr"]
-    for row in run_sweep(cfg).rows:
-        lines.append(
-            f"{_fmt(row.x_db)},{row.scheme.value},{_fmt(row.split)},"
-            f"{_fmt(row.sum_rate)},{_fmt(row.stderr)}"
-        )
-    return EXIT_OK, lines
+    rows = map("%.6g,%s,%.6g,%.6g,%.6g".__mod__, run_sweep(cfg).rows)
+    return EXIT_OK, itertools.chain(["x_db,scheme,split,sum_rate_bits,stderr"], rows)
 
 
 def _cmd_signal_check(params) -> tuple:
@@ -303,8 +296,8 @@ def _cmd_signal_check(params) -> tuple:
     errors = verify_chain(const, scheme, params["splits"], p)
     lines = [
         f"ramasim signal-check v{__version__}",
-        f"scheme={scheme.value} constellation={kind}-{params['order']} "
-        f"pairs={params['order'] ** 2} p={_fmt(p)}",
+        f"scheme={scheme} constellation={kind}-{params['order']} "
+        f"pairs={params['order'] ** 2} p={p:.6g}",
     ]
     if scheme is Scheme.RAMA1:
         ((chain, power),) = errors
@@ -313,7 +306,7 @@ def _cmd_signal_check(params) -> tuple:
     else:
         for split, (chain, power) in zip(params["splits"], errors):
             lines.append(
-                f"  split {_fmt(split)}: max |tsa2 - direct| = {chain:.3e}, "
+                f"  split {split:.6g}: max |tsa2 - direct| = {chain:.3e}, "
                 f"|mean power - p| = {power:.3e}"
             )
     worst = max(max(pair) for pair in errors)
@@ -371,7 +364,7 @@ def main(argv=None) -> int:
         params = _merge_params(args.command, table, args)
         code, lines = run(params)
         if writes_csv:
-            lines = _metadata_lines(args.command, table, params) + lines
+            lines = itertools.chain(_metadata_lines(args.command, table, params), lines)
         _write_output(args.out if writes_csv else "-", lines)
         return code
     except ValueError as exc:

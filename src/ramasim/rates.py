@@ -18,6 +18,10 @@ from .transceiver import PowerAllocation
 
 
 class Scheme(str, enum.Enum):
+    """A supported scheme; it prints as its CLI name, the value."""
+
+    __str__ = str.__str__
+
     NOMA = "noma"
     RECONFIG_NOMA = "reconfig-noma"
     RAMA1 = "rama1"

@@ -19,6 +19,7 @@ power split, and reconfigurable-antenna NOMA uses an equal beam split.
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,8 +143,9 @@ class SweepConfig:
         return self.grid_db if self.grid_db is not None else default_grid(self.x_axis)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sweep result. The field order is the sweep CSV's column order."""
+
     x_db: float
     scheme: Scheme
     split: float
@@ -203,5 +205,4 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     # Without fading every stderr is 0: one shared float, not one object per row.
     errs = errors.ravel().tolist() if cfg.fading else itertools.repeat(0.0)
     cells = zip(keys, means.ravel().tolist(), errs)
-    rows = [SweepRow(float(x), scheme, split, m, e) for (x, scheme, split), m, e in cells]
-    return SweepResult(tuple(rows))
+    return SweepResult(tuple(SweepRow(*key, m, e) for key, m, e in cells))

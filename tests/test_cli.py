@@ -561,6 +561,38 @@ def test_unwritable_output_is_runtime_error(capsys):
     assert code == 1
 
 
+def test_refused_input_writes_nothing(tmp_path, capsys):
+    # NOMA traces at n = 2049, then OMA is over its point cap: the refusal
+    # must come before the config echo or any NOMA row is written.
+    argv = ["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "noma,oma",
+            "--grid-n", "2049"]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("ramasim: config error: grid_n: ")
+    path = tmp_path / "region.csv"
+    code, out, _err = _run([*argv, "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--g1-db", "15", "--g2-db", "5", "--schemes", "noma", "--grid-n", "200000"],
+        ["sweep"],
+    ],
+)
+def test_write_error_partway_is_one_line_runtime_error(argv):
+    proc = _run_process([*argv, "--out", "/dev/full"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("ramasim: error: ")
+
+
 def test_stdout_output_by_default(capsys):
     code, out, _err = _run(
         ["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "noma",

@@ -34,6 +34,14 @@ def test_rate_pair_validation():
         RatePair(0.0, math.nan, Scheme.NOMA)
 
 
+def test_scheme_prints_as_its_cli_name():
+    assert len(Scheme) == 5
+    for scheme in Scheme:
+        assert str(scheme) == "%s" % scheme == f"{scheme}" == scheme.value
+        assert repr(scheme) == f"<Scheme.{scheme.name}: {scheme.value!r}>"
+        assert Scheme(scheme.value) is scheme
+
+
 def test_noma_all_power_to_user_one():
     lb = from_db(15.0, 15.0)
     pair = noma_rates(_alloc(1.0, 1.0), lb)
