@@ -57,10 +57,6 @@ class LinkBudget:
     def pg2(self) -> float:
         return self.p * self.gamma2
 
-    def symmetric(self) -> bool:
-        """True when the normalized gains agree to 1e-9 relative."""
-        return math.isclose(self.gamma1, self.gamma2, rel_tol=1e-9, abs_tol=0.0)
-
 
 def db_to_linear(level_db: float) -> float:
     """10**(level/10) for a level within +-DB_LIMIT dB; ValueError otherwise."""

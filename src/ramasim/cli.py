@@ -18,6 +18,8 @@ import contextlib
 import functools
 import itertools
 import math
+import os
+import stat
 import sys
 
 from . import __version__
@@ -38,6 +40,8 @@ from .sweep import (
 from .transceiver import verify_chain
 
 CONFIG_SCHEMA_VERSION = 1
+# Largest --config file read, in bytes; a command's config echo is under 1 kB.
+MAX_CONFIG_BYTES = 1 << 20
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -166,12 +170,26 @@ CHECK_TABLE = {
 # --- config file handling --------------------------------------------------
 
 
+def _open_nonblocking(name: str, flags: int) -> int:
+    """os.open that returns at once on a FIFO instead of waiting for a writer."""
+    return os.open(name, flags | os.O_NONBLOCK)
+
+
 def _read_config_file(path: str) -> dict:
+    """The `key = value` pairs of a UTF-8 regular file of at most MAX_CONFIG_BYTES."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", opener=_open_nonblocking) as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                raise ValueError(f"config: {path!r} is not a regular file")
+            content = fh.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise ValueError(f"config: cannot read {path!r}: {exc}") from None
+    if len(content) > MAX_CONFIG_BYTES:
+        raise ValueError(f"config: {path!r} is larger than {MAX_CONFIG_BYTES} bytes")
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config: {path!r} is not UTF-8: {exc}") from None
     data = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -279,7 +297,20 @@ def _cmd_sweep(params) -> tuple:
         fading=fading,
         ratio_anchor_db=params["ratio_anchor_db"],
     )
-    rows = map("%.6g,%s,%.6g,%.6g,%.6g".__mod__, run_sweep(cfg).rows)
+    result = run_sweep(cfg)
+    # The bytes of "%.6g,%s,%.6g,%.6g,%.6g" % (x, scheme, split, mean, stderr),
+    # from one template per (scheme, split) in the arrays' C order and x
+    # formatted once per grid point; no scheme name or %.6g split holds a "%".
+    templates = ["%%s,%s,%.6g,%%.6g,%%.6g" % (s, t) for s in result.schemes for t in result.splits]
+    shape = len(result.grid), len(templates)
+    rows = itertools.chain.from_iterable(
+        map(str.__mod__, templates, zip(itertools.repeat("%.6g" % x), means, errors))
+        for x, means, errors in zip(
+            result.grid,
+            result.means.reshape(shape).tolist(),
+            result.errors.reshape(shape).tolist(),
+        )
+    )
     return EXIT_OK, itertools.chain(["x_db,scheme,split,sum_rate_bits,stderr"], rows)
 
 

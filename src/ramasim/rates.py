@@ -75,6 +75,10 @@ def superposition(p1, p2, g1, g2, a1, a2):
     User i's gain is scaled by its beam share a_i: plain NOMA passes
     (1, 1), beam-divided NOMA (alpha, 1 - alpha).
     """
+    if isinstance(g1, float) and isinstance(g2, float):  # one known order: no 0-d np.where
+        if g1 >= g2:
+            return free(a1 * p1, g1), masked(p1, p2, a2 * g2)
+        return masked(p2, p1, a1 * g1), free(a2 * p2, g2)
     strong1 = g1 >= g2
     r1 = np.where(strong1, free(a1 * p1, g1), masked(p2, p1, a1 * g1))
     r2 = np.where(strong1, masked(p1, p2, a2 * g2), free(a2 * p2, g2))

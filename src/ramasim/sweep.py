@@ -9,8 +9,10 @@ each (scheme, split) on planes of gains whose last axis holds realizations.
 Without fading, one (G, 1) plane holds every point's mean gains. With
 fading, each point gets an (N,) plane of Rayleigh realizations from a
 stream seeded `seed + grid_index`, shared by every scheme and split, so
-memory stays bounded per point (`MAX_FADING_SAMPLES`). The rows are then
-built once, per (grid point, scheme, split), in that order.
+memory stays bounded per point (`MAX_FADING_SAMPLES`). The result keeps
+the means and standard errors as (grid point, scheme, split) arrays; the
+CLI formats its CSV rows straight from them, and `SweepResult.rows` builds
+the same rows as tuples for library callers.
 
 Scheme parameters the sweep fixes: OMA ties the bandwidth share to the
 power split, and reconfigurable-antenna NOMA uses an equal beam split.
@@ -153,9 +155,27 @@ class SweepRow(NamedTuple):
     stderr: float  # 0 when fading is disabled
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    rows: tuple
+    """Sweep results as columns over the (grid point, scheme, split) axes.
+
+    `means[i, j, k]` and `errors[i, j, k]` are the sum rate and its
+    standard error at `grid[i]`, `schemes[j]` and `splits[k]`; both are
+    read-only float64 arrays, and `errors` is all zeros without fading.
+    """
+
+    grid: tuple
+    schemes: tuple
+    splits: tuple
+    means: np.ndarray
+    errors: np.ndarray
+
+    @property
+    def rows(self) -> tuple:
+        """One `SweepRow` per cell, in (grid point, scheme, split) order."""
+        keys = itertools.product(self.grid, self.schemes, self.splits)  # the C order of means
+        cells = zip(keys, self.means.ravel().tolist(), self.errors.ravel().tolist())
+        return tuple(SweepRow(*key, m, e) for key, m, e in cells)
 
 
 def _sum_rate(scheme: Scheme, g1, g2, split: float):
@@ -201,8 +221,5 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                 means[pts, j, k] = values.mean(axis=-1)
                 if count > 1:
                     errors[pts, j, k] = values.std(axis=-1, ddof=1) / math.sqrt(count)
-    keys = itertools.product(grid, cfg.schemes, cfg.splits)  # the C order of means
-    # Without fading every stderr is 0: one shared float, not one object per row.
-    errs = errors.ravel().tolist() if cfg.fading else itertools.repeat(0.0)
-    cells = zip(keys, means.ravel().tolist(), errs)
-    return SweepResult(tuple(SweepRow(*key, m, e) for key, m, e in cells))
+    means.flags.writeable = errors.flags.writeable = False
+    return SweepResult(grid, cfg.schemes, cfg.splits, means, errors)

@@ -52,10 +52,6 @@ class PowerAllocation:
         p1 = fraction1 * p
         return cls(p, p1, p - p1)
 
-    @property
-    def fraction1(self) -> float:
-        return self.p1 / self.p
-
 
 @dataclass(frozen=True)
 class TxSignal:

@@ -19,14 +19,12 @@ def test_from_db_symmetric_15db():
     assert lb.p == 1.0
     assert math.isclose(lb.pg1, 10**1.5, rel_tol=1e-12)
     assert abs(lb.pg1 - 31.6228) <= 1e-4
-    assert lb.symmetric()
 
 
 def test_from_db_asymmetric_30_0():
     lb = from_db(30.0, 0.0)
     assert math.isclose(lb.pg1, 1000.0, rel_tol=1e-12)
     assert math.isclose(lb.pg2, 1.0, rel_tol=1e-12)
-    assert not lb.symmetric()
 
 
 def test_from_db_inverts_decibels():
@@ -45,12 +43,6 @@ def test_from_db_rejects_levels_outside_domain():
             from_db(db, 0.0)
         with pytest.raises(ValueError, match="outside"):
             from_db(0.0, db)
-
-
-def test_symmetric_predicate_tolerance():
-    assert LinkBudget(1.0, 2.0, 2.0).symmetric()
-    assert LinkBudget(1.0, 2.0, 2.0 * (1 + 1e-12)).symmetric()
-    assert not LinkBudget(1.0, 2.0, 2.0 * (1 + 1e-6)).symmetric()
 
 
 def test_link_budget_validation():

@@ -1,20 +1,25 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ramasim
 import ramasim.cli as cli
 from ramasim import constellations, sweep
 from ramasim import __version__
+from ramasim.channel import DB_LIMIT
+from ramasim.rates import Scheme
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -25,18 +30,18 @@ def _run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def _run_process(argv):
+def _run_process(argv, **kwargs):
     """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
     src = Path(ramasim.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, "-m", "ramasim.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, **kwargs,
     )
 
 
-def _assert_one_line_config_error(argv, key):
-    proc = _run_process(argv)
+def _assert_one_line_config_error(argv, key, **kwargs):
+    proc = _run_process(argv, **kwargs)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
@@ -216,6 +221,52 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
         ["region", "--config", str(tmp_path / "absent.cfg")], capsys
     )
     assert code == 2
+
+
+def test_config_file_is_read_up_to_its_size_cap(tmp_path, capsys):
+    path = tmp_path / "region.cfg"
+    argv = ["region", "--g2-db", "0", "--schemes", "noma", "--grid-n", "3",
+            "--config", str(path)]
+    head = "version = 1\ng1_db = 0\n"
+    path.write_text(head + "#" * (cli.MAX_CONFIG_BYTES - len(head) - 1) + "\n")
+    assert path.stat().st_size == cli.MAX_CONFIG_BYTES
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("noma,0,1\nnoma,0.584963,0.415037\nnoma,1,0\n")
+    path.write_text(head + "#" * (cli.MAX_CONFIG_BYTES - len(head)) + "\n")
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"ramasim: config error: config: {str(path)!r} is larger than "
+                   f"{cli.MAX_CONFIG_BYTES} bytes\n")
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path):
+    path = tmp_path / "region.cfg"
+    path.write_bytes(b"version = 1\n# caf\xe9\n")
+    argv = ["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "noma",
+            "--config", str(path)]
+    _assert_one_line_config_error(argv, "config")
+
+
+def _limit_address_space():
+    # A config read that ignored the size cap would allocate up to this limit.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("kind", ["/dev/zero", "fifo"])
+def test_config_that_is_not_a_regular_file_is_refused(kind, tmp_path):
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs os.mkfifo")
+        path = tmp_path / "region.cfg"
+        os.mkfifo(path)  # no writer ever opens it, so a blocking open would hang
+    elif os.path.exists(kind):
+        path = kind
+    else:
+        pytest.skip(f"needs {kind}")
+    argv = ["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "noma",
+            "--config", str(path)]
+    _assert_one_line_config_error(argv, "config", preexec_fn=_limit_address_space)
 
 
 def test_echoed_config_reproduces_output(tmp_path):
@@ -602,3 +653,63 @@ def test_stdout_output_by_default(capsys):
     assert code == 0
     assert out.startswith("# ramasim region")
     assert "scheme,r1_bits,r2_bits" in out
+
+
+# --- sweep CSV rows against the one-template-per-row reference ------------------
+
+
+@st.composite
+def _sweep_inputs(draw):
+    """(mode, anchor, start, stop, step, schemes, splits, fading samples, seed)."""
+    mode = draw(st.sampled_from([sweep.X_AXIS_SYMMETRIC, sweep.X_AXIS_RATIO]))
+    anchor, lo, hi = 0.0, -DB_LIMIT, DB_LIMIT
+    if mode == sweep.X_AXIS_RATIO:
+        anchor = draw(st.one_of(
+            st.sampled_from([-DB_LIMIT, 0.0, DB_LIMIT]), st.floats(-DB_LIMIT, DB_LIMIT)
+        ))
+        lo, hi = max(lo, -DB_LIMIT - anchor), min(hi, DB_LIMIT - anchor)
+    level = st.one_of(
+        st.sampled_from([lo, hi]), st.floats(max(lo, -60.0), min(hi, 60.0)), st.floats(lo, hi)
+    )
+    start, stop = sorted((draw(level), draw(level)))
+    samples = draw(st.one_of(st.just(0), st.sampled_from([1, 2, 3]), st.integers(4, 50)))
+    points = draw(st.integers(1, 8 if samples else 40))
+    step = (stop - start) / points if stop > start else 1.0
+    schemes = draw(st.lists(st.sampled_from(list(Scheme)), min_size=1, max_size=5, unique=True))
+    splits = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4
+    ))
+    seed = draw(st.integers(0, 2**32))
+    return mode, anchor, start, stop, step, tuple(schemes), tuple(splits), samples, seed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sweep_inputs())
+@example((sweep.X_AXIS_SYMMETRIC, 0.0, -DB_LIMIT, DB_LIMIT, 250.0, tuple(Scheme),
+          (0.0, 0.25, 1.0), 0, 0))
+@example((sweep.X_AXIS_SYMMETRIC, 0.0, -12.5, 3.5, 0.5, (Scheme.OMA, Scheme.NOMA),
+          (1.0, 0.0), 3, 7))
+@example((sweep.X_AXIS_RATIO, -DB_LIMIT, 0.0, DB_LIMIT, 200.0, tuple(Scheme),
+          (0.0, 1.0), 0, 0))
+@example((sweep.X_AXIS_RATIO, DB_LIMIT, -DB_LIMIT, 0.0, 250.0, (Scheme.RAMA2,),
+          (0.5,), 20, 2**32))
+def test_sweep_csv_rows_equal_the_row_template(inputs):
+    mode, anchor, start, stop, step, schemes, splits, samples, seed = inputs
+    try:
+        cfg = sweep.SweepConfig(
+            schemes, mode, sweep.build_grid(start, stop, step), splits,
+            sweep.FadingConfig(samples, seed) if samples else None, anchor,
+        )
+    except ValueError:  # x + anchor rounded just past the dB domain, or repeated levels
+        assume(False)
+    flags = {"mode": mode, "ratio-anchor-db": repr(anchor), "grid-start-db": repr(start),
+             "grid-stop-db": repr(stop), "grid-step-db": repr(step),
+             "schemes": ",".join(map(str, schemes)), "splits": ",".join(map(repr, splits)),
+             "fading-samples": samples, "seed": seed}
+    argv = ["sweep", *(f"--{flag}={value}" for flag, value in flags.items())]  # "=": x < 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    lines = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
+    assert lines[0] == "x_db,scheme,split,sum_rate_bits,stderr"
+    assert lines[1:] == ["%.6g,%s,%.6g,%.6g,%.6g" % row for row in sweep.run_sweep(cfg).rows]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramasim.channel import DB_LIMIT, MAX_PG, LinkBudget, from_db
+from ramasim.channel import DB_LIMIT, MAX_PG, LinkBudget, db_to_linear, from_db
 from ramasim.rates import (
     SCHEMES,
     RatePair,
@@ -279,3 +279,35 @@ def test_rama2_with_full_csi_reaches_every_noma_sum(g1_db, g2_db, split):
     p1 = min(max((p + 1.0 / g2 - 1.0 / g1) / 2.0, 0.0), p)
     w1, w2 = SCHEMES[Scheme.RAMA2](p, p1, p - p1, g1, g2, None)
     assert np.all(w1 + w2 >= (n1 + n2) * (1.0 - 1e-12) - 1e-15)
+
+
+_GAINS = st.one_of(st.just(0.0), st.floats(-DB_LIMIT, DB_LIMIT).map(db_to_linear))
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(list(Scheme)),
+    _GAINS,
+    st.one_of(st.none(), _GAINS),  # None: a tie, g2 = g1
+    _UNIT,  # power split p1/p
+    _UNIT,  # beam or bandwidth share
+)
+@example(Scheme.NOMA, 0.0, None, 0.5, 0.5)
+@example(Scheme.RECONFIG_NOMA, MAX_PG, MAX_PG, 1.0, 0.0)
+@example(Scheme.RECONFIG_NOMA, 1.0 / MAX_PG, 0.0, 0.0, 1.0)
+@example(Scheme.NOMA, 0.02058703408668366, None, 1.0, 0.5)  # math.log2 differs in the last bit
+def test_scheme_table_on_floats_equals_one_element_arrays_bit_for_bit(
+    scheme, g1, g2, split, share
+):
+    # The scalar API passes Python floats and the grids pass arrays; both
+    # must give the same bits, including the sign of zero.
+    g2 = g1 if g2 is None else g2
+    args = (1.0, split, 1.0 - split, g1, g2, share)
+    # OMA's p*g/share can overflow at a subnormal share; both forms then give inf.
+    with np.errstate(over="ignore"):
+        scalar = SCHEMES[scheme](*args)
+        array = SCHEMES[scheme](*(np.array([a]) for a in args))
+    for s, a in zip(scalar, array):
+        assert np.shape(s) == () and np.shape(a) == (1,)
+        assert float(s).hex() == float(a[0]).hex()

@@ -12,7 +12,6 @@ from ramasim.sweep import (
     MAX_FADING_SAMPLES,
     FadingConfig,
     SweepConfig,
-    SweepResult,
     SweepRow,
     X_AXIS_RATIO,
     X_AXIS_SYMMETRIC,
@@ -90,6 +89,18 @@ def test_row_order_and_count():
     ]
 
 
+def test_result_columns_are_read_only_and_rows_follow_their_order():
+    cfg = SweepConfig(schemes=("oma", "noma", "rama1"), grid_db=(-3.0, 0.0), splits=(0.0, 1.0))
+    result = run_sweep(cfg)
+    assert (result.grid, result.schemes, result.splits) == (cfg.grid_db, cfg.schemes, cfg.splits)
+    for column in (result.means, result.errors):
+        assert column.shape == (2, 3, 2) and column.dtype == np.float64
+        assert not column.flags.writeable
+    assert not result.errors.any()
+    assert [row.sum_rate for row in result.rows] == result.means.ravel().tolist()
+    assert result.rows[7] == SweepRow(0.0, Scheme.OMA, 1.0, result.means[1, 0, 1], 0.0)
+
+
 def test_rama1_rows_ignore_split():
     cfg = SweepConfig(schemes=("rama1",), grid_db=(7.0,), splits=(0.1, 0.5, 0.9))
     sums = {row.sum_rate for row in run_sweep(cfg).rows}
@@ -164,7 +175,7 @@ def test_monotone_along_symmetric_grid_all_schemes():
 
 def test_no_fading_results_identical_across_runs():
     cfg = SweepConfig(schemes=("noma",), grid_db=(5.0,), splits=(0.25,))
-    assert run_sweep(cfg) == run_sweep(cfg)
+    assert run_sweep(cfg).rows == run_sweep(cfg).rows
 
 
 def test_fading_rows_are_deterministic():
@@ -176,7 +187,7 @@ def test_fading_rows_are_deterministic():
     )
     first = run_sweep(cfg)
     second = run_sweep(cfg)
-    assert first == second
+    assert first.rows == second.rows
 
 
 def test_fading_stderr_positive_and_single_sample_guard():
@@ -263,7 +274,7 @@ def _per_point_sweep(cfg):
                     sum_rate = float(values.mean())
                     err = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
                 rows.append(SweepRow(float(x_db), scheme, split, sum_rate, err))
-    return SweepResult(tuple(rows))
+    return tuple(rows)
 
 
 @st.composite
@@ -310,10 +321,10 @@ def _fading(n, seed=7):
 def test_whole_grid_sweep_equals_per_point_reference_bit_for_bit(cfg):
     # The CSV prints every sum rate, so the grid evaluation must keep each bit,
     # the sign of zero included; fading means and stderrs are pinned the same way.
-    result = run_sweep(cfg)
+    rows = run_sweep(cfg).rows
     reference = _per_point_sweep(cfg)
-    assert result == reference
+    assert rows == reference
     for field in ("sum_rate", "stderr"):
-        assert [getattr(row, field).hex() for row in result.rows] == [
-            getattr(row, field).hex() for row in reference.rows
+        assert [getattr(row, field).hex() for row in rows] == [
+            getattr(row, field).hex() for row in reference
         ]
