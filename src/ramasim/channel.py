@@ -94,9 +94,10 @@ class RngState:
         u1 = 1.0 - self._gen.random(pairs)  # shift onto (0, 1] so the log stays finite
         u2 = self._gen.random(pairs)
         radius = np.sqrt(-2.0 * np.log(u1))
+        angle = _TWO_PI * u2
         z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(_TWO_PI * u2)
-        z[1::2] = radius * np.sin(_TWO_PI * u2)
+        np.multiply(radius, np.cos(angle), out=z[0::2])
+        np.multiply(radius, np.sin(angle), out=z[1::2])
         return z[:n]
 
 
@@ -104,6 +105,5 @@ def rayleigh_fades(rng: RngState, mean_gain: float, size: int) -> np.ndarray:
     """Circularly-symmetric complex gains with E[|h|^2] = mean_gain."""
     if mean_gain <= 0.0:
         raise ValueError("mean_gain must be positive")
-    z = rng.standard_normal(2 * int(size))
-    scale = math.sqrt(mean_gain / 2.0)
-    return scale * (z[0::2] + 1j * z[1::2])
+    z = rng.standard_normal(2 * int(size))  # (re, im) pairs, as complex128 lays them out
+    return math.sqrt(mean_gain / 2.0) * z.view(np.complex128)

@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import stat
 import sys
 
@@ -363,6 +364,9 @@ COMMANDS = {
 }
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, generated from `COMMANDS` once per process.
@@ -380,6 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, table, _, writes_csv) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
+        # argparse takes only -digits[.digits] for a negative number, so a
+        # level such as the config echo's -1e-05 would read as an option.
+        command._negative_number_matcher = _NEGATIVE_NUMBER
         command.add_argument("--config", help="flat key = value config file")
         for key, (*_, flag_help) in table.items():
             command.add_argument("--" + key.replace("_", "-"), help=flag_help)

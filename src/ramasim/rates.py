@@ -52,14 +52,24 @@ class RatePair:
 # scalars or broadcastable numpy arrays.
 
 
+# The log2 arguments of `free` and `masked`, kept apart so that
+# `superposition` can pick each element's argument before one log2.
+def _free_arg(p, g):
+    return 1.0 + p * g
+
+
+def _masked_arg(p_strong, p_weak, g):
+    return 1.0 + p_weak * g / (p_strong * g + 1.0)
+
+
 def free(p, g):
     """Interference-free rate: log2(1 + p*g)."""
-    return np.log2(1.0 + p * g)
+    return np.log2(_free_arg(p, g))
 
 
 def masked(p_strong, p_weak, g):
     """Rate with the strong user's superposed signal treated as noise."""
-    return np.log2(1.0 + p_weak * g / (p_strong * g + 1.0))
+    return np.log2(_masked_arg(p_strong, p_weak, g))
 
 
 def oma(p, g, band):
@@ -80,8 +90,8 @@ def superposition(p1, p2, g1, g2, a1, a2):
             return free(a1 * p1, g1), masked(p1, p2, a2 * g2)
         return masked(p2, p1, a1 * g1), free(a2 * p2, g2)
     strong1 = g1 >= g2
-    r1 = np.where(strong1, free(a1 * p1, g1), masked(p2, p1, a1 * g1))
-    r2 = np.where(strong1, masked(p1, p2, a2 * g2), free(a2 * p2, g2))
+    r1 = np.log2(np.where(strong1, _free_arg(a1 * p1, g1), _masked_arg(p2, p1, a1 * g1)))
+    r2 = np.log2(np.where(strong1, _masked_arg(p1, p2, a2 * g2), _free_arg(a2 * p2, g2)))
     return r1, r2
 
 

@@ -8,8 +8,11 @@ point's linear gains come from a scalar `db_to_linear`. One loop evaluates
 each (scheme, split) on planes of gains whose last axis holds realizations.
 Without fading, one (G, 1) plane holds every point's mean gains. With
 fading, each point gets an (N,) plane of Rayleigh realizations from a
-stream seeded `seed + grid_index`, shared by every scheme and split, so
-memory stays bounded per point (`MAX_FADING_SAMPLES`). The result keeps
+stream seeded `seed + grid_index`, shared by every scheme and split. A
+plane's cells are reduced in chunks: each cell's sum rates fill one row of
+a buffer of at most `PLANE_BUFFER_ELEMENTS` (or one cell), and each chunk
+takes one last-axis mean and std. Memory thus stays bounded per point
+(`MAX_FADING_SAMPLES`) for any split count. The result keeps
 the means and standard errors as (grid point, scheme, split) arrays; the
 CLI formats its CSV rows straight from them, and `SweepResult.rows` builds
 the same rows as tuples for library callers.
@@ -39,6 +42,9 @@ RECONFIG_SWEEP_ALPHA = 0.5
 # num_samples-element arrays; 10^6 keeps that near 100 MB.
 MAX_FADING_SAMPLES = 1_000_000
 MAX_GRID_POINTS = 10_000  # sweep grid points; each is one row per scheme and split
+# float64 elements of the buffer that holds one chunk of (scheme, split)
+# cells over a plane: 2 MiB. A chunk holds at least one cell.
+PLANE_BUFFER_ELEMENTS = 2**18
 
 
 def build_grid(start: float, stop: float, step: float) -> tuple:
@@ -178,11 +184,11 @@ class SweepResult:
         return tuple(SweepRow(*key, m, e) for key, m, e in cells)
 
 
-def _sum_rate(scheme: Scheme, g1, g2, split: float):
+def _sum_rate(scheme: Scheme, g1, g2, split: float, out=None):
     """Array-capable sum rate at linear products (p*gamma1, p*gamma2), p = 1."""
     share = split if scheme is Scheme.OMA else RECONFIG_SWEEP_ALPHA
     r1, r2 = SCHEMES[scheme](1.0, split, 1.0 - split, g1, g2, share)
-    return r1 + r2
+    return np.add(r1, r2, out=out)
 
 
 def _point_gains(cfg: SweepConfig, x_db: float) -> tuple:
@@ -201,8 +207,9 @@ def _planes(cfg: SweepConfig, gains: list):
         yield slice(None), g1, g2
         return
     count = cfg.fading.num_samples
+    base = RngState(cfg.fading.seed)
     for index, (g1, g2) in enumerate(gains):
-        rng = RngState(cfg.fading.seed).derive(index)
+        rng = base.derive(index)
         fade1 = np.abs(rayleigh_fades(rng, g1, count)) ** 2
         fade2 = np.abs(rayleigh_fades(rng, g2, count)) ** 2
         yield index, fade1, fade2
@@ -211,15 +218,22 @@ def _planes(cfg: SweepConfig, gains: list):
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the configured schemes over the grid; deterministic per seed."""
     grid = cfg.resolved_grid()
+    cells = list(itertools.product(cfg.schemes, cfg.splits))  # the C order of means
     shape = (len(grid), len(cfg.schemes), len(cfg.splits))
     means, errors = np.empty(shape), np.zeros(shape)  # stderr stays 0 when N = 1
+    cell_means, cell_errors = means.reshape(len(grid), -1), errors.reshape(len(grid), -1)
     for pts, g1, g2 in _planes(cfg, [_point_gains(cfg, x_db) for x_db in grid]):
         count = g1.shape[-1]
-        for j, scheme in enumerate(cfg.schemes):
-            for k, split in enumerate(cfg.splits):
-                values = _sum_rate(scheme, g1, g2, split)
-                means[pts, j, k] = values.mean(axis=-1)
-                if count > 1:
-                    errors[pts, j, k] = values.std(axis=-1, ddof=1) / math.sqrt(count)
+        step = max(1, PLANE_BUFFER_ELEMENTS // g1.size)
+        for start in range(0, len(cells), step):
+            chunk = slice(start, start + step)
+            values = np.empty(g1.shape[:-1] + (len(cells[chunk]), count))
+            for c, (scheme, split) in enumerate(cells[chunk]):
+                _sum_rate(scheme, g1, g2, split, out=values[..., c, :])
+            # A last-axis reduction of a C-contiguous array gives each row's
+            # 1-D mean and std bit for bit.
+            cell_means[pts, chunk] = values.mean(axis=-1)
+            if count > 1:
+                cell_errors[pts, chunk] = values.std(axis=-1, ddof=1) / math.sqrt(count)
     means.flags.writeable = errors.flags.writeable = False
     return SweepResult(grid, cfg.schemes, cfg.splits, means, errors)

@@ -121,3 +121,36 @@ def test_rayleigh_phase_uniform():
 def test_rayleigh_rejects_bad_parameters():
     with pytest.raises(ValueError):
         rayleigh_fades(RngState(0), 0.0, 4)
+
+
+class _GivenNormals:
+    """A stream stub that hands out fixed normals, exact +-0 among them."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+
+    def standard_normal(self, size):
+        assert size == self.z.size
+        return self.z.copy()
+
+
+def _split_complex_fades(z, mean_gain):
+    """rayleigh_fades built from separate real and imaginary halves."""
+    return math.sqrt(mean_gain / 2.0) * (z[0::2] + 1j * z[1::2])
+
+
+@pytest.mark.parametrize("mean_gain", [1.0, 4.0, 1e-100, 1e100, 5e-324])
+def test_rayleigh_fades_equal_the_split_complex_form(mean_gain):
+    # Pairs of signed zeros and normals from a real stream: the fades must be
+    # equal and |h|^2, which the sweep averages, equal bit for bit.
+    zeros = [0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 1.5, -0.0, -0.0, -2.25]
+    given = np.concatenate([zeros, RngState(9).standard_normal(2 * 1001)])
+    cases = [
+        (rayleigh_fades(_GivenNormals(given), mean_gain, given.size // 2), given),
+        (rayleigh_fades(RngState(21), mean_gain, 6000), RngState(21).standard_normal(12000)),
+    ]
+    for fades, z in cases:
+        expected = _split_complex_fades(z, mean_gain)
+        assert fades.dtype == np.complex128 and np.array_equal(fades, expected)
+        power = (np.abs(fades) ** 2).view(np.int64)
+        assert power.tolist() == (np.abs(expected) ** 2).view(np.int64).tolist()

@@ -289,6 +289,44 @@ def test_echoed_config_reproduces_output(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["sweep"], "--grid-start-db", "-1e-3"),
+        (["region", "--g2-db", "0", "--schemes", "noma"], "--g1-db", "-1E1"),
+    ],
+)
+def test_negative_numbers_in_exponent_form_are_flag_values(argv, flag, value, capsys):
+    # argparse alone reads only -digits[.digits] as a negative number.
+    spaced = _run([*argv, flag, value], capsys)
+    assert spaced[0] == 0
+    assert spaced == _run([*argv, f"{flag}={value}"], capsys)
+
+
+def test_echoed_config_passes_back_as_flags(tmp_path):
+    first = tmp_path / "a.csv"
+    argv = ["sweep", "--mode", "ratio", "--ratio-anchor-db=-1e-05", "--grid-start-db=-2.5e-05",
+            "--grid-stop-db", "0", "--grid-step-db", "1e-05", "--out", str(first)]
+    assert cli.main(argv) == 0
+    echo = _echoed_config(first)
+    assert "ratio_anchor_db = -1e-05" in echo.splitlines()
+    flags = []
+    for line in echo.splitlines():
+        key, _, value = line.partition(" = ")
+        if key not in ("version", "command"):
+            flags += ["--" + key.replace("_", "-"), value]
+    second = tmp_path / "b.csv"
+    assert cli.main(["sweep", *flags, "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_flag_value_that_is_no_number_still_reads_as_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["region", "--g1-db", "-x", "--g2-db", "0", "--schemes", "noma"])
+    assert exc.value.code == 2
+    assert "argument --g1-db: expected one argument" in capsys.readouterr().err
+
+
 def test_sweep_defaults_and_header(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--out", str(out)]) == 0

@@ -19,6 +19,7 @@ from ramasim.rates import (
     rama1_sum_symmetric,
     rama2_rates,
     reconfig_noma_rates,
+    superposition,
 )
 from ramasim.transceiver import PowerAllocation
 
@@ -311,3 +312,41 @@ def test_scheme_table_on_floats_equals_one_element_arrays_bit_for_bit(
     for s, a in zip(scalar, array):
         assert np.shape(s) == () and np.shape(a) == (1,)
         assert float(s).hex() == float(a[0]).hex()
+
+
+def _superposition_two_log2(p1, p2, g1, g2, a1, a2):
+    """The array branch as both rates over every element, then np.where."""
+    strong1, b1, b2 = g1 >= g2, a1 * g1, a2 * g2
+    r1 = np.where(strong1, np.log2(1.0 + a1 * p1 * g1), np.log2(1.0 + p1 * b1 / (p2 * b1 + 1.0)))
+    r2 = np.where(strong1, np.log2(1.0 + p2 * b2 / (p1 * b2 + 1.0)), np.log2(1.0 + a2 * p2 * g2))
+    return r1, r2
+
+
+@st.composite
+def _gain_arrays(draw):
+    """(g1, g2) arrays of 1, an odd count or over 128 gains, with ties and zeros."""
+    size = draw(st.one_of(
+        st.just(1), st.integers(1, 40).map(lambda k: 2 * k + 1), st.integers(129, 400)
+    ))
+    pool = np.array(draw(st.lists(_GAINS, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    g1, g2 = pool[rng.integers(pool.size, size=(2, size))]
+    return g1, np.where(rng.random(size) < draw(st.sampled_from([0.0, 0.5, 1.0])), g1, g2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    _gain_arrays(),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),  # power split p1/p
+    st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.0, 1.0)),  # user 1's beam share
+)
+def test_superposition_arrays_take_one_log2_per_user_bit_for_bit(gains, split, share):
+    # Selecting each element's log2 argument before one log2 must keep every
+    # bit of the two-log2 form, the sign of zero included.
+    g1, g2 = gains
+    a1, a2 = (1.0, 1.0) if share == 1.0 else (share, 1.0 - share)
+    got = superposition(split, 1.0 - split, g1, g2, a1, a2)
+    expected = _superposition_two_log2(split, 1.0 - split, g1, g2, a1, a2)
+    for r, e in zip(got, expected):
+        assert r.dtype == e.dtype == np.float64 and r.shape == g1.shape
+        assert r.view(np.int64).tolist() == e.view(np.int64).tolist()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramasim.channel import DB_LIMIT, RngState, db_to_linear, rayleigh_fades
+from ramasim import sweep
 from ramasim.rates import Scheme
 from ramasim.sweep import (
     DEFAULT_SPLITS,
     MAX_FADING_SAMPLES,
+    PLANE_BUFFER_ELEMENTS,
     FadingConfig,
     SweepConfig,
     SweepRow,
@@ -318,6 +321,11 @@ def _fading(n, seed=7):
 @example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-DB_LIMIT, DB_LIMIT), (1.0,), _fading(2)))
 @example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 20.0), (0.25,), _fading(3, 2**64 - 1)))
 @example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 30.0), DEFAULT_SPLITS, _fading(200), 5.0))
+# Bench size, and sizes past numpy's 128-element pairwise-sum blocks, where a
+# reduction that summed in another order would change the last bits.
+@example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-10.0, 15.0, 40.0), DEFAULT_SPLITS,
+                     _fading(6000, 0)))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 20.0), (0.0, 0.5, 1.0), _fading(1001)))
 def test_whole_grid_sweep_equals_per_point_reference_bit_for_bit(cfg):
     # The CSV prints every sum rate, so the grid evaluation must keep each bit,
     # the sign of zero included; fading means and stderrs are pinned the same way.
@@ -328,3 +336,45 @@ def test_whole_grid_sweep_equals_per_point_reference_bit_for_bit(cfg):
         assert [getattr(row, field).hex() for row in rows] == [
             getattr(row, field).hex() for row in reference
         ]
+
+
+@pytest.mark.parametrize("elements", [1, 7, 3 * 6000])
+@pytest.mark.parametrize("fading", [None, _fading(6000, 3)])
+def test_cells_in_any_chunk_size_give_the_same_bits(monkeypatch, elements, fading):
+    # Without fading (3 points), 1 and 7 elements give chunks of 1 and 2
+    # cells. With fading, both give one-cell chunks, and 3 * 6000 gives
+    # 3-cell chunks, so a point's 20 cells end in a 2-cell chunk.
+    cfg = SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-10.0, 0.0, 25.0), (0.0, 0.25, 0.5, 1.0),
+                      fading)
+    whole = run_sweep(cfg)
+    monkeypatch.setattr(sweep, "PLANE_BUFFER_ELEMENTS", elements)
+    chunked = run_sweep(cfg)
+    for a, b in ((whole.means, chunked.means), (whole.errors, chunked.errors)):
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+
+
+def _peak_bytes(cfg):
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fading_sweep_memory_does_not_grow_with_the_cell_count():
+    # One point's realizations and per-cell temporaries take about 64 bytes
+    # per sample (8 float64 planes). The cells share one buffer of at most
+    # PLANE_BUFFER_ELEMENTS, or one cell when a plane is larger, and std
+    # copies it once.
+    buffer_bytes = 8 * PLANE_BUFFER_ELEMENTS
+    n = 2 * 10**5  # one cell per chunk
+    cfg = SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (10.0,), (0.0, 0.25, 0.5, 1.0), _fading(n))
+    assert _peak_bytes(cfg) <= 64 * n + 2 * 2**20
+    n = 2 * 10**4  # 13 cells per chunk
+    few, many = (
+        _peak_bytes(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (10.0,), splits, _fading(n)))
+        for splits in ((0.0, 0.25, 0.5, 1.0), tuple(k / 40 for k in range(41)))
+    )
+    assert many <= 64 * n + 2 * buffer_bytes
+    assert many <= few + 2**16
