@@ -39,7 +39,6 @@ from .transceiver import (
     rama1_transmit,
     rama2_presplit,
     rama2_transmit,
-    reconfig_noma_split,
     superpose,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "rama2_transmit",
     "rayleigh_fades",
     "reconfig_noma_rates",
-    "reconfig_noma_split",
     "relate",
     "run_sweep",
     "superpose",

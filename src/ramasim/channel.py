@@ -53,10 +53,6 @@ class LinkBudget:
     def pg1(self) -> float:
         return self.p * self.gamma1
 
-    @property
-    def pg2(self) -> float:
-        return self.p * self.gamma2
-
 
 def db_to_linear(level_db: float) -> float:
     """10**(level/10) for a level within +-DB_LIMIT dB; ValueError otherwise."""

@@ -23,6 +23,8 @@ import re
 import stat
 import sys
 
+import numpy as np
+
 from . import __version__
 from .channel import RNG_ALGORITHM, db_to_linear, from_db
 from .constellations import PSK, QAM, make_psk, make_qam
@@ -49,6 +51,9 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 SIGNAL_TOL = 1e-12
+
+# Region CSV rows per block: one % formats them and one write writes them.
+_REGION_BLOCK_ROWS = 1 << 10
 
 REGION_SCHEMES = (Scheme.OMA, Scheme.NOMA, Scheme.RAMA1, Scheme.RAMA2)
 SWEEP_SCHEMES = tuple(Scheme)
@@ -260,27 +265,62 @@ def _metadata_lines(command: str, table: dict, params: dict) -> list:
     return lines
 
 
-def _write_output(out: str, lines) -> None:
-    """Write `lines` to `out` ('-' = stdout) as they are formatted, 2**14 lines a write."""
-    lines = iter(lines)  # islice over a list would restart at its head on every block
+def _write_output(out: str, blocks) -> None:
+    """Write each block of lines to `out` ('-' = stdout) as soon as it is formatted.
+
+    One write holds one block: a line, one grid point's sweep rows or at most
+    `_REGION_BLOCK_ROWS` region rows, so the output is never held whole.
+    """
     with (contextlib.nullcontext(sys.stdout) if out == "-"
           else open(out, "w", encoding="utf-8", newline="")) as fh:
-        while block := list(itertools.islice(lines, 1 << 14)):
-            fh.write("\n".join(block) + "\n")
+        for block in blocks:
+            fh.write(block)
+            fh.write("\n")
 
 
 # --- commands ---------------------------------------------------------------
-# Each takes the merged parameters and returns (exit code, output lines). All
-# work is done before it returns, so a refused input raises before any output.
+# Each takes the merged parameters and returns (exit code, output blocks); a
+# block is one or more lines joined by newlines. All work is done before it
+# returns, so a refused input raises before any output.
+
+
+def _region_blocks(scheme: Scheme, r1, r2):
+    """The CSV rows of one frontier, `_REGION_BLOCK_ROWS` rows a block."""
+    k = _REGION_BLOCK_ROWS
+    row = "%s,%%.6g,%%.6g" % scheme  # no scheme name holds a "%"
+    template = "\n".join([row] * k)
+    for start in range(0, len(r1), k):
+        # (r1, r2) interleaved one block at a time: a whole frontier as Python
+        # floats would outweigh its arrays several times over.
+        pairs = np.stack((r1[start:start + k], r2[start:start + k]), 1).ravel().tolist()
+        if len(pairs) < 2 * k:
+            template = "\n".join([row] * (len(pairs) // 2))
+        yield template % tuple(pairs)
 
 
 def _cmd_region(params) -> tuple:
     lb = from_db(params["g1_db"], params["g2_db"])
     regions = [(s, trace_region(s, lb, params["grid_n"])) for s in params["schemes"]]
-    rows = itertools.chain.from_iterable(
-        zip(itertools.repeat(s), r.r1.tolist(), r.r2.tolist()) for s, r in regions
+    blocks = itertools.chain.from_iterable(_region_blocks(s, r.r1, r.r2) for s, r in regions)
+    return EXIT_OK, itertools.chain(["scheme,r1_bits,r2_bits"], blocks)
+
+
+def _sweep_blocks(result):
+    """The CSV rows of one grid point's (scheme, split) cells a block, in C order.
+
+    A block is the bytes of "%.6g,%s,%.6g,%.6g,%.6g" % (x, scheme, split,
+    mean, stderr) for each cell, from one template: "\\0" stands for x, which
+    is formatted once per point, and one % fills the means (and stderrs,
+    interleaved). No scheme name or %.6g split holds a "%" or a "\\0".
+    """
+    zero_errors = not result.errors.view(np.uint64).any()  # every stderr is +0.0
+    stderr = "0" if zero_errors else "%%.6g"  # "%.6g" % 0.0 == "0"
+    template = "\n".join(
+        ("\0,%s,%.6g,%%.6g," + stderr) % (s, t) for s in result.schemes for t in result.splits
     )
-    return EXIT_OK, itertools.chain(["scheme,r1_bits,r2_bits"], map("%s,%.6g,%.6g".__mod__, rows))
+    values = result.means if zero_errors else np.stack((result.means, result.errors), -1)
+    for x, cells in zip(result.grid, values.reshape(len(result.grid), -1).tolist()):
+        yield template.replace("\0", "%.6g" % x) % tuple(cells)
 
 
 def _cmd_sweep(params) -> tuple:
@@ -298,21 +338,8 @@ def _cmd_sweep(params) -> tuple:
         fading=fading,
         ratio_anchor_db=params["ratio_anchor_db"],
     )
-    result = run_sweep(cfg)
-    # The bytes of "%.6g,%s,%.6g,%.6g,%.6g" % (x, scheme, split, mean, stderr),
-    # from one template per (scheme, split) in the arrays' C order and x
-    # formatted once per grid point; no scheme name or %.6g split holds a "%".
-    templates = ["%%s,%s,%.6g,%%.6g,%%.6g" % (s, t) for s in result.schemes for t in result.splits]
-    shape = len(result.grid), len(templates)
-    rows = itertools.chain.from_iterable(
-        map(str.__mod__, templates, zip(itertools.repeat("%.6g" % x), means, errors))
-        for x, means, errors in zip(
-            result.grid,
-            result.means.reshape(shape).tolist(),
-            result.errors.reshape(shape).tolist(),
-        )
-    )
-    return EXIT_OK, itertools.chain(["x_db,scheme,split,sum_rate_bits,stderr"], rows)
+    return EXIT_OK, itertools.chain(["x_db,scheme,split,sum_rate_bits,stderr"],
+                                    _sweep_blocks(run_sweep(cfg)))
 
 
 def _cmd_signal_check(params) -> tuple:
@@ -400,10 +427,10 @@ def main(argv=None) -> int:
     _, table, run, writes_csv = COMMANDS[args.command]
     try:
         params = _merge_params(args.command, table, args)
-        code, lines = run(params)
+        code, blocks = run(params)
         if writes_csv:
-            lines = itertools.chain(_metadata_lines(args.command, table, params), lines)
-        _write_output(args.out if writes_csv else "-", lines)
+            blocks = itertools.chain(_metadata_lines(args.command, table, params), blocks)
+        _write_output(args.out if writes_csv else "-", blocks)
         return code
     except ValueError as exc:
         print(f"ramasim: config error: {exc}", file=sys.stderr)

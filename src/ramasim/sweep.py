@@ -11,11 +11,13 @@ fading, each point gets an (N,) plane of Rayleigh realizations from a
 stream seeded `seed + grid_index`, shared by every scheme and split. A
 plane's cells are reduced in chunks: each cell's sum rates fill one row of
 a buffer of at most `PLANE_BUFFER_ELEMENTS` (or one cell), and each chunk
-takes one last-axis mean and std. Memory thus stays bounded per point
-(`MAX_FADING_SAMPLES`) for any split count. The result keeps
-the means and standard errors as (grid point, scheme, split) arrays; the
-CLI formats its CSV rows straight from them, and `SweepResult.rows` builds
-the same rows as tuples for library callers.
+takes one last-axis sum for its means and, in the same buffer, one sum of
+squared deviations for its standard errors. Memory thus stays bounded per
+point (`MAX_FADING_SAMPLES`) for any split count (`MAX_SPLITS`). The
+result keeps the means and standard errors as (grid point, scheme, split)
+arrays; the CLI formats each grid point's CSV rows from them with one
+template, and `SweepResult.rows` builds the same rows as tuples for
+library callers.
 
 Scheme parameters the sweep fixes: OMA ties the bandwidth share to the
 power split, and reconfigurable-antenna NOMA uses an equal beam split.
@@ -42,6 +44,9 @@ RECONFIG_SWEEP_ALPHA = 0.5
 # num_samples-element arrays; 10^6 keeps that near 100 MB.
 MAX_FADING_SAMPLES = 1_000_000
 MAX_GRID_POINTS = 10_000  # sweep grid points; each is one row per scheme and split
+# Power splits per sweep: one grid point's CSV rows, at most five schemes
+# times this, are formatted and written as one block.
+MAX_SPLITS = 1024
 # float64 elements of the buffer that holds one chunk of (scheme, split)
 # cells over a plane: 2 MiB. A chunk holds at least one cell.
 PLANE_BUFFER_ELEMENTS = 2**18
@@ -130,6 +135,8 @@ class SweepConfig:
         splits = tuple(float(t) for t in self.splits)
         if not splits:
             raise ValueError("splits must be nonempty")
+        if len(splits) > MAX_SPLITS:
+            raise ValueError(f"splits: {len(splits)} splits are above the cap of {MAX_SPLITS}")
         if any(not 0.0 <= t <= 1.0 for t in splits):
             raise ValueError("splits must lie in [0, 1]")
         object.__setattr__(self, "splits", splits)
@@ -215,12 +222,32 @@ def _planes(cfg: SweepConfig, gains: list):
         yield index, fade1, fade2
 
 
+def _mean_and_stderr(values) -> tuple:
+    """Last-axis mean and standard error of `values`, which this overwrites.
+
+    The steps are those of numpy's own `mean` and `std(ddof=1)`, one sum for
+    the mean and one for the squared deviations, so the bits are the same;
+    the deviations reuse the buffer where `std` would copy it. A last-axis
+    reduction of a C-contiguous array gives each row's 1-D result bit for
+    bit. One sample has a standard error of 0.
+    """
+    count = values.shape[-1]
+    mean = np.add.reduce(values, axis=-1, keepdims=True)
+    np.true_divide(mean, count, out=mean)
+    if count == 1:
+        return mean[..., 0], 0.0
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    variance = np.add.reduce(values, axis=-1) / (count - 1)
+    return mean[..., 0], np.sqrt(variance) / math.sqrt(count)
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the configured schemes over the grid; deterministic per seed."""
     grid = cfg.resolved_grid()
     cells = list(itertools.product(cfg.schemes, cfg.splits))  # the C order of means
     shape = (len(grid), len(cfg.schemes), len(cfg.splits))
-    means, errors = np.empty(shape), np.zeros(shape)  # stderr stays 0 when N = 1
+    means, errors = np.empty(shape), np.empty(shape)
     cell_means, cell_errors = means.reshape(len(grid), -1), errors.reshape(len(grid), -1)
     for pts, g1, g2 in _planes(cfg, [_point_gains(cfg, x_db) for x_db in grid]):
         count = g1.shape[-1]
@@ -230,10 +257,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             values = np.empty(g1.shape[:-1] + (len(cells[chunk]), count))
             for c, (scheme, split) in enumerate(cells[chunk]):
                 _sum_rate(scheme, g1, g2, split, out=values[..., c, :])
-            # A last-axis reduction of a C-contiguous array gives each row's
-            # 1-D mean and std bit for bit.
-            cell_means[pts, chunk] = values.mean(axis=-1)
-            if count > 1:
-                cell_errors[pts, chunk] = values.std(axis=-1, ddof=1) / math.sqrt(count)
+            cell_means[pts, chunk], cell_errors[pts, chunk] = _mean_and_stderr(values)
+            del values  # before the next chunk's buffer is allocated
     means.flags.writeable = errors.flags.writeable = False
     return SweepResult(grid, cfg.schemes, cfg.splits, means, errors)

@@ -1,8 +1,8 @@
 """Symbol-level transmit chains.
 
-Covers classic superposition coding, beam power division, and the
-phase-rotation chains that synthesize the second user's symbol on its own
-antenna beam from a single upconverted reference symbol. Amplitudes here
+Covers classic superposition coding and the phase-rotation chains that
+synthesize the second user's symbol on its own antenna beam from a single
+upconverted reference symbol. Amplitudes here
 are exact algebra on complex scalars; acceptance checks hold the chain
 outputs to 1e-12 of the directly encoded symbols. `verify_chain` runs the
 RAMA chains over every ordered symbol pair of a constellation at once, on
@@ -72,13 +72,6 @@ class TxSignal:
 def superpose(s1: complex, s2: complex, alloc: PowerAllocation) -> complex:
     """Both users on one waveform: sqrt(p1)*s1 + sqrt(p2)*s2."""
     return math.sqrt(alloc.p1) * s1 + math.sqrt(alloc.p2) * s2
-
-
-def reconfig_noma_split(x: complex, alpha: float) -> TxSignal:
-    """Divide one waveform across two beams with power shares alpha and 1-alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("power-division factor alpha must lie strictly inside (0, 1)")
-    return TxSignal(math.sqrt(alpha) * x, math.sqrt(1.0 - alpha) * x)
 
 
 def rama1_transmit(s1: complex, s2: complex, p: float) -> TxSignal:

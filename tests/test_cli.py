@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ramasim
 import ramasim.cli as cli
@@ -731,6 +732,9 @@ def _sweep_inputs(draw):
           (0.0, 1.0), 0, 0))
 @example((sweep.X_AXIS_RATIO, DB_LIMIT, -DB_LIMIT, 0.0, 250.0, (Scheme.RAMA2,),
           (0.5,), 20, 2**32))
+# Every rate, and so every stderr, is 0 at -1000 dB although N > 1.
+@example((sweep.X_AXIS_SYMMETRIC, 0.0, -DB_LIMIT, -DB_LIMIT, 1.0, tuple(Scheme),
+          (0.0, 0.5, 1.0), 7, 5))
 def test_sweep_csv_rows_equal_the_row_template(inputs):
     mode, anchor, start, stop, step, schemes, splits, samples, seed = inputs
     try:
@@ -751,3 +755,56 @@ def test_sweep_csv_rows_equal_the_row_template(inputs):
     lines = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
     assert lines[0] == "x_db,scheme,split,sum_rate_bits,stderr"
     assert lines[1:] == ["%.6g,%s,%.6g,%.6g,%.6g" % row for row in sweep.run_sweep(cfg).rows]
+
+
+# --- blocks: region rows against the row template, and one block per write -------
+
+_K = cli._REGION_BLOCK_ROWS
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(list(cli.REGION_SCHEMES)),
+    st.sampled_from([1, _K - 1, _K, _K + 1, 2 * _K + 1]).flatmap(
+        lambda n: st.tuples(arrays(np.float64, n), arrays(np.float64, n))
+    ),
+)
+def test_region_csv_rows_equal_the_row_template(scheme, frontier):
+    r1, r2 = frontier
+    blocks = list(cli._region_blocks(scheme, r1, r2))
+    assert [block.count("\n") + 1 for block in blocks] == [
+        min(_K, len(r1) - start) for start in range(0, len(r1), _K)
+    ]
+    rows = ["%s,%.6g,%.6g" % (scheme, a, b) for a, b in zip(r1.tolist(), r2.tolist())]
+    assert "\n".join(blocks).split("\n") == rows
+
+
+class _RecordingFile(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv, block_lines",
+    [
+        (["region", "--g1-db", "15", "--g2-db", "5", "--schemes", "rama1,noma",
+          "--grid-n", str(2 * _K + 1)], _K),
+        # the split cap: one grid point's 5 * MAX_SPLITS rows are one block
+        (["sweep", "--grid-start-db", "0", "--grid-stop-db", "1",
+          "--schemes", "noma,reconfig-noma,rama1,rama2,oma",
+          "--splits", ",".join(["0.5"] * sweep.MAX_SPLITS)], 5 * sweep.MAX_SPLITS),
+        (["sweep", "--schemes", "noma,oma", "--fading-samples", "3"], 2 * 3),
+    ],
+)
+def test_one_write_holds_at_most_one_block(argv, block_lines):
+    fh = _RecordingFile()
+    with contextlib.redirect_stdout(fh):
+        assert cli.main(argv) == 0
+    blocks, newlines = fh.writes[0::2], fh.writes[1::2]
+    assert newlines == ["\n"] * len(blocks)
+    assert max(block.count("\n") + 1 for block in blocks) == block_lines

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import ramasim.cli as cli
 from ramasim.constellations import MAX_ORDER
 from ramasim.region import MAX_REGION_POINTS
-from ramasim.sweep import MAX_FADING_SAMPLES, MAX_GRID_POINTS
+from ramasim.sweep import MAX_FADING_SAMPLES, MAX_GRID_POINTS, MAX_SPLITS
 from ramasim.transceiver import MAX_TOTAL_POWER
 
 MISSING_DIR = os.path.join(tempfile.gettempdir(), "ramasim-no-such-dir")
@@ -53,7 +53,7 @@ SWEEP_FLAGS = {
     "--mode": (["symmetric", "ratio"], ["diagonal", ""]),
     "--schemes": (["noma,rama1", "noma,reconfig-noma,rama1,rama2,oma", "oma"],
                   ["laser", "noma,,rama1", ""]),
-    "--splits": SPLITS,
+    "--splits": (SPLITS[0], SPLITS[1] + [",".join(["0.5"] * (MAX_SPLITS + 1))]),
     "--fading-samples": (["0", "1", "2", "20"], ["-1", "1.5", str(MAX_FADING_SAMPLES + 1)] + JUNK),
     "--seed": (["0", "5", "-1", str(2**64), "99999999999999999999999"], JUNK),
     "--ratio-anchor-db": DB,

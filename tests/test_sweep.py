@@ -12,12 +12,14 @@ from ramasim.rates import Scheme
 from ramasim.sweep import (
     DEFAULT_SPLITS,
     MAX_FADING_SAMPLES,
+    MAX_SPLITS,
     PLANE_BUFFER_ELEMENTS,
     FadingConfig,
     SweepConfig,
     SweepRow,
     X_AXIS_RATIO,
     X_AXIS_SYMMETRIC,
+    _mean_and_stderr,
     _sum_rate,
     default_grid,
     run_sweep,
@@ -60,6 +62,13 @@ def test_config_validation_messages_name_fields():
     assert FadingConfig(MAX_FADING_SAMPLES).num_samples == MAX_FADING_SAMPLES
     with pytest.raises(ValueError, match="above the cap"):
         FadingConfig(MAX_FADING_SAMPLES + 1)
+
+
+def test_sweep_split_cap_is_exact():
+    cfg = SweepConfig(schemes=(Scheme.NOMA,), grid_db=(0.0,), splits=(0.5,) * MAX_SPLITS)
+    assert len(cfg.splits) == MAX_SPLITS
+    with pytest.raises(ValueError, match=f"splits: {MAX_SPLITS + 1} splits are above the cap"):
+        SweepConfig(schemes=(Scheme.NOMA,), splits=(0.5,) * (MAX_SPLITS + 1))
 
 
 def test_config_accepts_scheme_tokens():
@@ -353,6 +362,24 @@ def test_cells_in_any_chunk_size_give_the_same_bits(monkeypatch, elements, fadin
         assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 20),
+    # either side of numpy's 128-element pairwise-sum blocks, and the bench size
+    st.sampled_from([2, 3, 127, 128, 129, 6000]),
+    st.integers(-150, 150),  # squared deviations stay finite
+    st.floats(-1e3, 1e3),
+    st.integers(0, 2**32),
+)
+def test_in_place_stats_equal_mean_and_std_bit_for_bit(cells, count, exponent, offset, seed):
+    values = offset + 10.0**exponent * np.random.default_rng(seed).standard_normal((cells, count))
+    mean = values.mean(axis=-1)
+    stderr = values.std(axis=-1, ddof=1) / math.sqrt(count)
+    got_mean, got_stderr = _mean_and_stderr(values.copy())
+    assert got_mean.view(np.int64).tolist() == mean.view(np.int64).tolist()
+    assert got_stderr.view(np.int64).tolist() == stderr.view(np.int64).tolist()
+
+
 def _peak_bytes(cfg):
     tracemalloc.start()
     try:
@@ -365,8 +392,8 @@ def _peak_bytes(cfg):
 def test_fading_sweep_memory_does_not_grow_with_the_cell_count():
     # One point's realizations and per-cell temporaries take about 64 bytes
     # per sample (8 float64 planes). The cells share one buffer of at most
-    # PLANE_BUFFER_ELEMENTS, or one cell when a plane is larger, and std
-    # copies it once.
+    # PLANE_BUFFER_ELEMENTS, or one cell when a plane is larger, and the
+    # stats reuse it.
     buffer_bytes = 8 * PLANE_BUFFER_ELEMENTS
     n = 2 * 10**5  # one cell per chunk
     cfg = SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (10.0,), (0.0, 0.25, 0.5, 1.0), _fading(n))

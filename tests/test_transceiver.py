@@ -14,7 +14,6 @@ from ramasim.transceiver import (
     rama1_transmit,
     rama2_presplit,
     rama2_transmit,
-    reconfig_noma_split,
     superpose,
     verify_chain,
 )
@@ -58,30 +57,6 @@ def test_superpose_average_power_over_psk_pairs(p):
         abs(superpose(s1, s2, alloc)) ** 2 for s1 in const.points for s2 in const.points
     )
     assert abs(total / 64 - p) <= 1e-12
-
-
-def test_reconfig_split_amplitudes():
-    tx = reconfig_noma_split(1 + 0j, 0.5)
-    assert abs(tx.tsa1 - math.sqrt(0.5)) <= 1e-15
-    assert abs(tx.tsa2 - math.sqrt(0.5)) <= 1e-15
-    tx = reconfig_noma_split(1 + 0j, 0.9)
-    assert abs(tx.tsa1 - 0.9486832980505138) <= 1e-15  # sqrt(0.9)
-    assert abs(tx.tsa2 - 0.31622776601683794) <= 1e-15  # sqrt(0.1)
-
-
-def test_reconfig_split_conserves_power():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        x = complex(*rng.normal(size=2))
-        alpha = rng.uniform(0.01, 0.99)
-        tx = reconfig_noma_split(x, alpha)
-        assert math.isclose(tx.total_power(), abs(x) ** 2, rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.7])
-def test_reconfig_split_rejects_degenerate_alpha(alpha):
-    with pytest.raises(ValueError, match="alpha"):
-        reconfig_noma_split(1 + 0j, alpha)
 
 
 @pytest.mark.parametrize("p", [1.0, 3.7])
