@@ -26,7 +26,6 @@ from .rates import (
 )
 from .region import RateRegion, r2_at_r1, trace_region
 from .sweep import (
-    FadingConfig,
     SweepConfig,
     SweepResult,
     SweepRow,
@@ -45,7 +44,6 @@ from .transceiver import (
 __all__ = [
     "RNG_ALGORITHM",
     "Constellation",
-    "FadingConfig",
     "LinkBudget",
     "PowerAllocation",
     "RatePair",

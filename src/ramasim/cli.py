@@ -32,7 +32,6 @@ from .rates import Scheme
 from .region import trace_region
 from .sweep import (
     DEFAULT_SPLITS,
-    FadingConfig,
     SweepConfig,
     X_AXIS_RATIO,
     X_AXIS_SYMMETRIC,
@@ -54,6 +53,9 @@ SIGNAL_TOL = 1e-12
 
 # Region CSV rows per block: one % formats them and one write writes them.
 _REGION_BLOCK_ROWS = 1 << 10
+# Sweep values per tolist(), so formatting memory does not grow with the grid;
+# whole grid points, or one point if it holds more.
+_SWEEP_CONVERT_VALUES = 1 << 14
 
 REGION_SCHEMES = (Scheme.OMA, Scheme.NOMA, Scheme.RAMA1, Scheme.RAMA2)
 SWEEP_SCHEMES = tuple(Scheme)
@@ -92,7 +94,7 @@ def _parse_splits(text: str) -> tuple:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise ValueError("split list must be nonempty")
-    values = tuple(_parse_float(tok) for tok in tokens)
+    values = tuple(_parse_float(tok) + 0.0 for tok in tokens)  # + 0.0: a -0 split is 0
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"split {v!r} outside [0, 1]")
@@ -311,33 +313,29 @@ def _sweep_blocks(result):
     A block is the bytes of "%.6g,%s,%.6g,%.6g,%.6g" % (x, scheme, split,
     mean, stderr) for each cell, from one template: "\\0" stands for x, which
     is formatted once per point, and one % fills the means (and stderrs,
-    interleaved). No scheme name or %.6g split holds a "%" or a "\\0".
+    interleaved). No scheme name or %.6g split holds a "%" or a "\\0". Values
+    become Python floats in whole points, at most `_SWEEP_CONVERT_VALUES` a tolist().
     """
     zero_errors = not result.errors.view(np.uint64).any()  # every stderr is +0.0
     stderr = "0" if zero_errors else "%%.6g"  # "%.6g" % 0.0 == "0"
     template = "\n".join(
         ("\0,%s,%.6g,%%.6g," + stderr) % (s, t) for s in result.schemes for t in result.splits
     )
-    values = result.means if zero_errors else np.stack((result.means, result.errors), -1)
-    for x, cells in zip(result.grid, values.reshape(len(result.grid), -1).tolist()):
-        yield template.replace("\0", "%.6g" % x) % tuple(cells)
+    columns = (result.means,) if zero_errors else (result.means, result.errors)
+    step = max(1, _SWEEP_CONVERT_VALUES // (len(columns) * result.means[0].size))
+    for start in range(0, len(result.grid), step):
+        points = slice(start, start + step)
+        values = np.stack([c[points] for c in columns], -1)
+        for x, cells in zip(result.grid[points], values.reshape(len(values), -1).tolist()):
+            yield template.replace("\0", "%.6g" % x) % tuple(cells)
 
 
 def _cmd_sweep(params) -> tuple:
     if params["grid_start_db"] is None:
         params["grid_start_db"] = default_grid(params["mode"])[0]
-    fading = None
-    if params["fading_samples"]:  # 0 = off
-        fading = FadingConfig(params["fading_samples"], params["seed"])
     grid = build_grid(params["grid_start_db"], params["grid_stop_db"], params["grid_step_db"])
-    cfg = SweepConfig(
-        schemes=params["schemes"],
-        x_axis=params["mode"],
-        grid_db=grid,
-        splits=params["splits"],
-        fading=fading,
-        ratio_anchor_db=params["ratio_anchor_db"],
-    )
+    shared = ("schemes", "splits", "fading_samples", "seed", "ratio_anchor_db")  # field names too
+    cfg = SweepConfig(x_axis=params["mode"], grid_db=grid, **{k: params[k] for k in shared})
     return EXIT_OK, itertools.chain(["x_db,scheme,split,sum_rate_bits,stderr"],
                                     _sweep_blocks(run_sweep(cfg)))
 

@@ -74,9 +74,11 @@ def masked(p_strong, p_weak, g):
 
 def oma(p, g, band):
     """band * log2(1 + p*g/band); a zero share carries zero rate."""
-    band = np.asarray(band, dtype=float)
-    safe = np.where(band > 0.0, band, 1.0)
-    return np.where(band > 0.0, band * np.log2(1.0 + p * g / safe), 0.0)
+    band = np.asarray(band, dtype=float) + 0.0  # a -0.0 share gives a +0.0 rate
+    # 1 + x and log2 in place: a 2nd grid-sized temporary doubled region's page faults
+    x = np.asarray(p * g / np.where(band > 0.0, band, 1.0))
+    x += 1.0
+    return band * np.log2(x, out=x)
 
 
 def superposition(p1, p2, g1, g2, a1, a2):

@@ -4,11 +4,14 @@ Two x-axis modes, named as the CLI's `mode` values: `X_AXIS_SYMMETRIC`
 ("symmetric") drives both users' p*gamma through the same level,
 `X_AXIS_RATIO` ("ratio") fixes user 2 at an anchor level and sweeps the
 gain ratio (so user 1 is at least as strong for ratios >= 0 dB). Each grid
-point's linear gains come from a scalar `db_to_linear`. One loop evaluates
-each (scheme, split) on planes of gains whose last axis holds realizations.
-Without fading, one (G, 1) plane holds every point's mean gains. With
-fading, each point gets an (N,) plane of Rayleigh realizations from a
-stream seeded `seed + grid_index`, shared by every scheme and split. A
+point's linear gains come from a scalar `db_to_linear`. `SweepConfig` holds
+the `sweep` command's settings in its keys' encoding: `fading_samples` 0
+means no fading, and a `grid_db` of None is stored as the mode's default
+grid. One loop evaluates each (scheme, split) on planes of gains whose last
+axis holds realizations. Without fading, one (G, 1) plane holds every
+point's mean gains. With fading, each point gets an (N,) plane of
+N = `fading_samples` Rayleigh realizations from a stream seeded
+`seed + grid_index`, shared by every scheme and split. A
 plane's cells are reduced in chunks: each cell's sum rates fill one row of
 a buffer of at most `PLANE_BUFFER_ELEMENTS` (or one cell), and each chunk
 takes one last-axis sum for its means and, in the same buffer, one sum of
@@ -16,8 +19,8 @@ squared deviations for its standard errors. Memory thus stays bounded per
 point (`MAX_FADING_SAMPLES`) for any split count (`MAX_SPLITS`). The
 result keeps the means and standard errors as (grid point, scheme, split)
 arrays; the CLI formats each grid point's CSV rows from them with one
-template, and `SweepResult.rows` builds the same rows as tuples for
-library callers.
+template, converting a bounded number of points at a time, and
+`SweepResult.rows` builds the same rows as tuples for library callers.
 
 Scheme parameters the sweep fixes: OMA ties the bandwidth share to the
 power split, and reconfigurable-antenna NOMA uses an equal beam split.
@@ -90,32 +93,23 @@ def default_grid(x_axis: str) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class FadingConfig:
-    """Rayleigh averaging: sample count and base seed."""
-
-    num_samples: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_samples < 1:
-            raise ValueError("fading_samples: fading num_samples must be >= 1")
-        if self.num_samples > MAX_FADING_SAMPLES:
-            raise ValueError(
-                f"fading_samples: fading num_samples {self.num_samples} is above the cap of "
-                f"{MAX_FADING_SAMPLES}"
-            )
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     schemes: tuple
     x_axis: str = X_AXIS_SYMMETRIC
-    grid_db: tuple | None = None  # None picks the mode's default grid
+    grid_db: tuple | None = None  # None stores default_grid(x_axis)
     splits: tuple = DEFAULT_SPLITS
-    fading: FadingConfig | None = None
+    fading_samples: int = 0  # Rayleigh realizations per grid point; 0 = no fading
+    seed: int = 0  # base seed of the fading stream
     ratio_anchor_db: float = 0.0
 
     def __post_init__(self):
+        if self.fading_samples != 0 and self.fading_samples < 1:
+            raise ValueError("fading_samples: fading num_samples must be >= 1")
+        if self.fading_samples > MAX_FADING_SAMPLES:
+            raise ValueError(
+                f"fading_samples: fading num_samples {self.fading_samples} is above the cap of "
+                f"{MAX_FADING_SAMPLES}"
+            )
         schemes = tuple(Scheme(s) for s in self.schemes)
         if not schemes:
             raise ValueError("schemes must be nonempty")
@@ -125,14 +119,14 @@ class SweepConfig:
                 f"x_axis must be {X_AXIS_SYMMETRIC!r} or {X_AXIS_RATIO!r}, "
                 f"got {self.x_axis!r}"
             )
-        if self.grid_db is not None:
-            grid = tuple(float(x) for x in self.grid_db)
-            if not grid:
-                raise ValueError("grid_db must be nonempty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError("grid_db must be strictly increasing")
-            object.__setattr__(self, "grid_db", grid)
-        splits = tuple(float(t) for t in self.splits)
+        grid = self.grid_db
+        grid = default_grid(self.x_axis) if grid is None else tuple(float(x) for x in grid)
+        if not grid:
+            raise ValueError("grid_db must be nonempty")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("grid_db must be strictly increasing")
+        object.__setattr__(self, "grid_db", grid)
+        splits = tuple(float(t) + 0.0 for t in self.splits)  # + 0.0: a -0 split is 0
         if not splits:
             raise ValueError("splits must be nonempty")
         if len(splits) > MAX_SPLITS:
@@ -143,7 +137,6 @@ class SweepConfig:
         # Every level run_sweep converts must lie in the dB domain. The grid
         # is increasing, so its ends bound it; in ratio mode user 1 sits at
         # x + ratio_anchor_db.
-        grid = self.resolved_grid()
         ends = (grid[0], grid[-1])
         levels = [("grid_db:", x) for x in ends] + [("ratio_anchor_db:", self.ratio_anchor_db)]
         if self.x_axis == X_AXIS_RATIO:
@@ -153,9 +146,6 @@ class SweepConfig:
                 db_to_linear(level)
             except ValueError as exc:
                 raise ValueError(f"{name} {exc}") from None
-
-    def resolved_grid(self) -> tuple:
-        return self.grid_db if self.grid_db is not None else default_grid(self.x_axis)
 
 
 class SweepRow(NamedTuple):
@@ -209,12 +199,12 @@ def _point_gains(cfg: SweepConfig, x_db: float) -> tuple:
 
 def _planes(cfg: SweepConfig, gains: list):
     """(grid index or slice, g1, g2) planes of linear gains; fading draws user 1 first."""
-    if cfg.fading is None:
+    count = cfg.fading_samples
+    if not count:
         g1, g2 = np.array(list(zip(*gains)))[..., None]
         yield slice(None), g1, g2
         return
-    count = cfg.fading.num_samples
-    base = RngState(cfg.fading.seed)
+    base = RngState(cfg.seed)
     for index, (g1, g2) in enumerate(gains):
         rng = base.derive(index)
         fade1 = np.abs(rayleigh_fades(rng, g1, count)) ** 2
@@ -244,7 +234,7 @@ def _mean_and_stderr(values) -> tuple:
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the configured schemes over the grid; deterministic per seed."""
-    grid = cfg.resolved_grid()
+    grid = cfg.grid_db
     cells = list(itertools.product(cfg.schemes, cfg.splits))  # the C order of means
     shape = (len(grid), len(cfg.schemes), len(cfg.splits))
     means, errors = np.empty(shape), np.empty(shape)

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import ramasim
 import ramasim.cli as cli
-from ramasim import constellations, sweep
+from ramasim import constellations, sweep, transceiver
 from ramasim import __version__
 from ramasim.channel import DB_LIMIT
 from ramasim.rates import Scheme
@@ -486,7 +487,7 @@ def test_sweep_grid_never_passes_its_stop(bounds):
         (["sweep", "--schemes", "noma,noma"], "schemes"),
         (["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "rama2,noma,rama2"],
          "schemes"),
-        # checked by trace_region and FadingConfig, reported under the CLI key
+        # checked by trace_region and SweepConfig, reported under the CLI key
         (["region", "--g1-db", "0", "--g2-db", "0", "--schemes", "noma", "--grid-n", "1"],
          "grid_n"),
         (["sweep", "--fading-samples", "-1"], "fading_samples"),
@@ -506,6 +507,38 @@ def test_signal_check_order_cap_is_inclusive(monkeypatch, capsys):
     code, _out, err = _run(argv + ["17"], capsys)
     assert code == 2
     assert "order: 17 is above the cap of 16" in err
+
+
+def test_signal_check_split_cap_is_inclusive(monkeypatch, capsys):
+    # The cap is MAX_CHAIN_SPLITS splits at MAX_ORDER: 5 * 16^2 symbol pairs here.
+    monkeypatch.setattr(constellations, "MAX_ORDER", 16)
+    cap = transceiver.MAX_CHAIN_SPLITS
+    rama2 = ["signal-check", "--constellation", "psk", "--scheme", "rama2"]
+    for order, splits in ((16, cap), (8, 4 * cap)):
+        argv = rama2 + ["--order", str(order), "--splits"]
+        code, out, _err = _run(argv + [",".join(["0.5"] * splits)], capsys)
+        assert code == 0 and out.count("  split 0.5:") == splits
+        code, out, err = _run(argv + [",".join(["0.5"] * (splits + 1))], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"ramasim: config error: splits: {splits + 1} splits of {order**2} "
+                       f"symbol pairs each are {(splits + 1) * order**2} pair checks, "
+                       f"above the cap of {cap * 16**2}\n")
+    rama1 = ["signal-check", "--constellation", "psk", "--scheme", "rama1", "--order", "16"]
+    assert _run(rama1 + ["--splits", ",".join(["0.5"] * (cap + 1))], capsys)[0] == 0
+
+
+def test_negative_zero_split_prints_as_zero(capsys):
+    argv = ["sweep", "--splits=-0", "--schemes", "oma", "--grid-start-db", "0",
+            "--grid-stop-db", "0"]
+    code, out, _err = _run(argv, capsys)
+    assert code == 0
+    assert "\n# splits = 0.0\n" in out and out.endswith("\n0,oma,0,1,0\n")
+    argv = ["signal-check", "--constellation", "psk", "--order", "8", "--scheme", "rama2",
+            "--splits=-0,1"]
+    code, out, _err = _run(argv, capsys)
+    assert code == 0 and "\n  split 0: " in out and "-0" not in out
+    split = sweep.SweepConfig(("oma",), splits=(-0.0,)).splits[0]
+    assert math.copysign(1.0, split) == 1.0
 
 
 def test_db_domain_edges_give_finite_rates(capsys):
@@ -739,8 +772,7 @@ def test_sweep_csv_rows_equal_the_row_template(inputs):
     mode, anchor, start, stop, step, schemes, splits, samples, seed = inputs
     try:
         cfg = sweep.SweepConfig(
-            schemes, mode, sweep.build_grid(start, stop, step), splits,
-            sweep.FadingConfig(samples, seed) if samples else None, anchor,
+            schemes, mode, sweep.build_grid(start, stop, step), splits, samples, seed, anchor
         )
     except ValueError:  # x + anchor rounded just past the dB domain, or repeated levels
         assume(False)
@@ -754,7 +786,19 @@ def test_sweep_csv_rows_equal_the_row_template(inputs):
         assert cli.main(argv) == 0
     lines = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
     assert lines[0] == "x_db,scheme,split,sum_rate_bits,stderr"
-    assert lines[1:] == ["%.6g,%s,%.6g,%.6g,%.6g" % row for row in sweep.run_sweep(cfg).rows]
+    # The config echo holds the library's keys in the library's encoding.
+    echo = out.getvalue().split("# config-begin\n")[1].split("# config-end")[0]
+    key = dict(line[2:].split(" = ") for line in echo.splitlines())
+    echoed = sweep.SweepConfig(
+        key["schemes"].split(","), key["mode"],
+        sweep.build_grid(float(key["grid_start_db"]), float(key["grid_stop_db"]),
+                         float(key["grid_step_db"])),
+        tuple(float(t) for t in key["splits"].split(",")),
+        int(key["fading_samples"]), int(key["seed"]), float(key["ratio_anchor_db"]),
+    )
+    for config in (cfg, echoed):
+        rows = sweep.run_sweep(config).rows
+        assert lines[1:] == ["%.6g,%s,%.6g,%.6g,%.6g" % row for row in rows]
 
 
 # --- blocks: region rows against the row template, and one block per write -------
@@ -777,6 +821,52 @@ def test_region_csv_rows_equal_the_row_template(scheme, frontier):
     ]
     rows = ["%s,%.6g,%.6g" % (scheme, a, b) for a, b in zip(r1.tolist(), r2.tolist())]
     assert "\n".join(blocks).split("\n") == rows
+
+
+def _sweep_result(points, schemes, splits, fading):
+    """A SweepResult of random columns, with random stderrs if `fading`."""
+    rng = np.random.default_rng(points)
+    shape = (points, len(schemes), len(splits))
+    errors = rng.random(shape) if fading else np.zeros(shape)
+    grid = tuple(float(x) for x in range(points))
+    return sweep.SweepResult(grid, schemes, splits, rng.random(shape), errors)
+
+
+@pytest.mark.parametrize("fading", [False, True])
+@pytest.mark.parametrize("values", [1, 7])
+def test_sweep_blocks_are_the_same_bytes_for_any_conversion_size(monkeypatch, fading, values):
+    # 10 points of 1, 3 or 10 cells. At 7 values a conversion holds 7 points
+    # (1 cell), 3 (1 cell with stderrs), 2 (3 cells) or 1 point.
+    for schemes, splits in (((Scheme.OMA,), (0.5,)), ((Scheme.OMA,), (0.0, 0.25, 1.0)),
+                            ((Scheme.NOMA, Scheme.RAMA2), tuple(k / 4 for k in range(5)))):
+        result = _sweep_result(10, schemes, splits, fading)
+        whole = list(cli._sweep_blocks(result))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_SWEEP_CONVERT_VALUES", values)
+            assert list(cli._sweep_blocks(result)) == whole
+
+
+def _formatting_peak(result):
+    tracemalloc.start()
+    try:
+        for _block in cli._sweep_blocks(result):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fading", [False, True])
+def test_sweep_formatting_memory_does_not_grow_with_the_grid(fading):
+    # 5 schemes x 64 splits: 320 or 640 values a point, so 51 or 25 points a
+    # conversion. Each converted value holds a few dozen bytes of Python float
+    # and list; one point's rows are about 13 kB of text.
+    splits = tuple(k / 63 for k in range(64))
+    few, many = (
+        _formatting_peak(_sweep_result(g, tuple(Scheme), splits, fading)) for g in (100, 400)
+    )
+    assert many <= few + 2**16
+    assert many <= 64 * cli._SWEEP_CONVERT_VALUES + 2**17
 
 
 class _RecordingFile(io.StringIO):

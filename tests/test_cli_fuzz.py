@@ -6,10 +6,10 @@ non-number or an out-of-range value. Flags whose cost does not grow with
 their value sometimes take an arbitrary float instead. Required flags are sometimes left
 out, flags come in any order, and unknown flags or stray tokens are
 sometimes appended. A value that would make a slow but valid run (a large
-grid, order or sample count) appears only just above its cap, where the
-command stops before it allocates, so every example stays fast; the caps
-themselves are pinned by the exact-cap tests in test_cli.py and
-test_region.py.
+grid, order, sample count or signal-check split count) appears only just
+above its cap, where the command stops before it allocates, so every
+example stays fast; the caps themselves are pinned by the exact-cap tests in
+test_cli.py and test_region.py.
 """
 
 import contextlib
@@ -25,7 +25,7 @@ import ramasim.cli as cli
 from ramasim.constellations import MAX_ORDER
 from ramasim.region import MAX_REGION_POINTS
 from ramasim.sweep import MAX_FADING_SAMPLES, MAX_GRID_POINTS, MAX_SPLITS
-from ramasim.transceiver import MAX_TOTAL_POWER
+from ramasim.transceiver import MAX_CHAIN_SPLITS, MAX_TOTAL_POWER
 
 MISSING_DIR = os.path.join(tempfile.gettempdir(), "ramasim-no-such-dir")
 
@@ -115,11 +115,16 @@ def _command_argv(draw, command, flags, required):
     return argv + draw(st.sampled_from([[]] * 6 * len(STRAY) + STRAY))
 
 
+# signal-check's work, splits x order^2, one split above its cap at the largest order
+CHAIN_OVER_CAP = ["signal-check", "--constellation", "qam", "--order", str(MAX_ORDER),
+                  "--scheme", "rama2", "--splits", ",".join(["0.5"] * (MAX_CHAIN_SPLITS + 1))]
+
 _ARGV = st.one_of(
     _command_argv("region", REGION_FLAGS, REGION_REQUIRED),
     _command_argv("sweep", SWEEP_FLAGS, ()),
     _command_argv("signal-check", SIGNAL_FLAGS, SIGNAL_REQUIRED),
-    st.sampled_from([[], ["--version"], ["--help"], ["frobnicate"], ["sweep", "--help"]]),
+    st.sampled_from([[], ["--version"], ["--help"], ["frobnicate"], ["sweep", "--help"],
+                     CHAIN_OVER_CAP]),
 )
 
 

@@ -23,7 +23,6 @@ from ramasim.sweep import (
     MAX_FADING_SAMPLES,
     X_AXIS_RATIO,
     X_AXIS_SYMMETRIC,
-    FadingConfig,
     SweepConfig,
     build_grid,
     run_sweep,
@@ -89,9 +88,8 @@ def test_verify_chain(const, scheme, splits, p):
 @FUZZ
 @given(st.integers(), st.integers())
 def test_fading_config(num_samples, seed):
-    fading = _call(FadingConfig, num_samples, seed)
-    if fading is not None:
-        assert 1 <= fading.num_samples <= MAX_FADING_SAMPLES
+    cfg = _call(SweepConfig, (Scheme.NOMA,), X_AXIS_SYMMETRIC, None, (0.5,), num_samples, seed)
+    assert (cfg is not None) == (0 <= num_samples <= MAX_FADING_SAMPLES)  # 0 = no fading
 
 
 @st.composite
@@ -101,7 +99,7 @@ def _sweeps(draw):
     step = draw(st.one_of(st.just(even), ANY_FLOAT))
     schemes = draw(st.lists(st.sampled_from(list(Scheme)), min_size=1, max_size=5, unique=True))
     splits = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
-    fading = draw(st.one_of(st.none(), st.builds(FadingConfig, st.integers(1, 4), st.integers())))
+    fading = draw(st.one_of(st.just((0, 0)), st.tuples(st.integers(1, 4), st.integers())))
     x_axis = draw(st.sampled_from([X_AXIS_SYMMETRIC, X_AXIS_RATIO]))
     return (start, stop, step), schemes, x_axis, splits, fading, draw(LEVEL)
 
@@ -114,7 +112,7 @@ def test_build_grid_then_sweep(setup):
     if grid is None or len(grid) > 20:
         return
     assert _all_finite(grid)
-    cfg = _call(SweepConfig, schemes, x_axis, grid, splits, fading, anchor)
+    cfg = _call(SweepConfig, schemes, x_axis, grid, splits, *fading, anchor)
     if cfg is None:
         return
     result = _call(run_sweep, cfg)

@@ -14,6 +14,7 @@ from ramasim.rates import (
     case2_sufficient,
     noma_rates,
     noma_sum_symmetric,
+    oma,
     oma_rates,
     rama1_rates,
     rama1_sum_symmetric,
@@ -188,6 +189,29 @@ def test_oma_zero_bandwidth_carries_zero_rate():
     pair = oma_rates(_alloc(1.0, 0.0), lb, 0.0)
     assert pair.r1 == 0.0
     assert math.isclose(pair.r2, math.log2(1 + 100.0), rel_tol=1e-12)
+
+
+def _two_mask_oma(p, g, band):
+    band = np.asarray(band, dtype=float)
+    safe = np.where(band > 0.0, band, 1.0)
+    return np.where(band > 0.0, band * np.log2(1.0 + p * g / safe), 0.0)
+
+
+_SHARES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+_GAINS = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e100]), st.floats(0.0, 1e100))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 1.0), st.lists(st.tuples(_SHARES, _GAINS), min_size=1, max_size=40))
+@example(1.0, [(-0.0, 1e100), (0.0, 1e100), (5e-324, 1e100), (-0.0, 0.0), (1.0, 0.0)])
+def test_oma_equals_the_two_mask_form_bit_for_bit(p, cells):
+    # Compared as int64 bits, so a -0.0 rate where the mask gave +0.0 fails.
+    # A share near 5e-324 overflows p*g/band to inf in both forms.
+    band, g = (np.array(column) for column in zip(*cells))
+    for args in [(p, g, band)] + [(p, float(gi), float(bi)) for gi, bi in cells]:
+        with np.errstate(over="ignore"):
+            got, want = np.asarray(oma(*args), dtype=float), _two_mask_oma(*args)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("beta", [-0.01, 1.01])

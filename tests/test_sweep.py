@@ -14,7 +14,6 @@ from ramasim.sweep import (
     MAX_FADING_SAMPLES,
     MAX_SPLITS,
     PLANE_BUFFER_ELEMENTS,
-    FadingConfig,
     SweepConfig,
     SweepRow,
     X_AXIS_RATIO,
@@ -36,6 +35,8 @@ def test_default_grids():
     assert sym[0] == -10.0 and sym[-1] == 40.0 and len(sym) == 51
     assert ratio[0] == 0.0 and ratio[-1] == 40.0 and len(ratio) == 41
     assert all(b - a == 1.0 for a, b in zip(sym, sym[1:]))
+    assert SweepConfig(("noma",)).grid_db == sym  # stored once, at construction
+    assert SweepConfig(("noma",), X_AXIS_RATIO).grid_db == ratio
 
 
 def test_config_validation_messages_name_fields():
@@ -57,11 +58,13 @@ def test_config_validation_messages_name_fields():
         SweepConfig(schemes=(Scheme.NOMA,), ratio_anchor_db=-1000.5)
     with pytest.raises(ValueError, match="ratio_anchor_db: user 1 level 1010.0 dB"):
         SweepConfig(schemes=(Scheme.NOMA,), x_axis=X_AXIS_RATIO, ratio_anchor_db=970.0)
-    with pytest.raises(ValueError, match="num_samples"):
-        FadingConfig(0)
-    assert FadingConfig(MAX_FADING_SAMPLES).num_samples == MAX_FADING_SAMPLES
+    with pytest.raises(ValueError, match="^fading_samples: fading num_samples must be >= 1$"):
+        SweepConfig(schemes=(Scheme.NOMA,), fading_samples=-1)
+    assert SweepConfig(schemes=(Scheme.NOMA,), fading_samples=0).fading_samples == 0  # no fading
+    cfg = SweepConfig(schemes=(Scheme.NOMA,), fading_samples=MAX_FADING_SAMPLES)
+    assert cfg.fading_samples == MAX_FADING_SAMPLES
     with pytest.raises(ValueError, match="above the cap"):
-        FadingConfig(MAX_FADING_SAMPLES + 1)
+        SweepConfig(schemes=(Scheme.NOMA,), fading_samples=MAX_FADING_SAMPLES + 1)
 
 
 def test_sweep_split_cap_is_exact():
@@ -190,12 +193,21 @@ def test_no_fading_results_identical_across_runs():
     assert run_sweep(cfg).rows == run_sweep(cfg).rows
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers())
+def test_no_fading_stderrs_are_positive_zero_for_any_seed(seed):
+    cfg = SweepConfig(tuple(Scheme), grid_db=(-10.0, 0.0, 40.0), fading_samples=0, seed=seed)
+    errors = run_sweep(cfg).errors
+    assert errors.view(np.int64).tolist() == np.zeros_like(errors, dtype=np.int64).tolist()
+
+
 def test_fading_rows_are_deterministic():
     cfg = SweepConfig(
         schemes=("noma",),
         grid_db=(0.0, 10.0),
         splits=(0.5,),
-        fading=FadingConfig(num_samples=2000, seed=99),
+        fading_samples=2000,
+        seed=99,
     )
     first = run_sweep(cfg)
     second = run_sweep(cfg)
@@ -205,13 +217,13 @@ def test_fading_rows_are_deterministic():
 def test_fading_stderr_positive_and_single_sample_guard():
     cfg = SweepConfig(
         schemes=("noma",), grid_db=(10.0,), splits=(0.5,),
-        fading=FadingConfig(num_samples=500, seed=1),
+        fading_samples=500, seed=1,
     )
     row = run_sweep(cfg).rows[0]
     assert row.stderr > 0.0
     one = SweepConfig(
         schemes=("noma",), grid_db=(10.0,), splits=(0.5,),
-        fading=FadingConfig(num_samples=1, seed=1),
+        fading_samples=1, seed=1,
     )
     assert run_sweep(one).rows[0].stderr == 0.0
 
@@ -222,7 +234,7 @@ def test_fading_mean_below_deterministic_value():
     faded = run_sweep(
         SweepConfig(
             schemes=("noma",), grid_db=(10.0,), splits=(0.5,),
-            fading=FadingConfig(num_samples=10**5, seed=4),
+            fading_samples=10**5, seed=4,
         )
     )
     assert faded.rows[0].sum_rate < det.rows[0].sum_rate
@@ -232,13 +244,13 @@ def test_fading_mean_consistent_across_sample_counts():
     small = run_sweep(
         SweepConfig(
             schemes=("noma",), grid_db=(10.0,), splits=(0.5,),
-            fading=FadingConfig(num_samples=10**5, seed=12),
+            fading_samples=10**5, seed=12,
         )
     ).rows[0]
     large = run_sweep(
         SweepConfig(
             schemes=("noma",), grid_db=(10.0,), splits=(0.5,),
-            fading=FadingConfig(num_samples=10**6, seed=13),
+            fading_samples=10**6, seed=13,
         )
     ).rows[0]
     assert abs(large.sum_rate - small.sum_rate) <= 3.0 * small.stderr
@@ -247,7 +259,7 @@ def test_fading_mean_consistent_across_sample_counts():
 def test_fading_realizations_shared_within_grid_point():
     cfg = SweepConfig(
         schemes=("noma", "rama1"), grid_db=(20.0,), splits=(0.5,),
-        fading=FadingConfig(num_samples=400, seed=8),
+        fading_samples=400, seed=8,
     )
     rows = run_sweep(cfg).rows
     # same draws feed both schemes, so the equal-split dominance also holds
@@ -266,20 +278,20 @@ def _per_point_sweep(cfg):
     and each row takes the 1-D mean and standard error (0 when N = 1).
     """
     rows = []
-    for index, x_db in enumerate(cfg.resolved_grid()):
+    for index, x_db in enumerate(cfg.grid_db):
         if cfg.x_axis == X_AXIS_SYMMETRIC:
             g1 = g2 = db_to_linear(x_db)
         else:
             g2 = db_to_linear(cfg.ratio_anchor_db)
             g1 = db_to_linear(x_db) * g2
-        if cfg.fading is not None:
-            count = cfg.fading.num_samples
-            rng = RngState(cfg.fading.seed).derive(index)
+        count = cfg.fading_samples
+        if count:
+            rng = RngState(cfg.seed).derive(index)
             g1 = np.abs(rayleigh_fades(rng, g1, count)) ** 2
             g2 = np.abs(rayleigh_fades(rng, g2, count)) ** 2
         for scheme in cfg.schemes:
             for split in cfg.splits:
-                if cfg.fading is None:
+                if not count:
                     sum_rate, err = float(_sum_rate(scheme, g1, g2, split)), 0.0
                 else:
                     values = np.asarray(_sum_rate(scheme, g1, g2, split), dtype=float)
@@ -301,40 +313,37 @@ def _configs(draw):
     level = st.one_of(
         st.sampled_from([lo, hi]), st.floats(max(lo, -60.0), min(hi, 60.0)), st.floats(lo, hi)
     )
-    fading = draw(st.one_of(st.none(), st.builds(
-        FadingConfig,
-        st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 200)),
-        st.integers(0, 2**64 - 1),
-    )))
+    fading = draw(st.one_of(st.just(0), st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 200))))
+    seed = draw(st.integers(0, 2**64 - 1))
     grid = sorted(set(draw(st.lists(level, min_size=1, max_size=10 if fading else 40))))
     schemes = draw(st.lists(st.sampled_from(list(Scheme)), min_size=1, max_size=5))
     splits = draw(st.lists(
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4
     ))
     try:
-        return SweepConfig(schemes, x_axis, tuple(grid), tuple(splits), fading, anchor)
+        return SweepConfig(schemes, x_axis, tuple(grid), tuple(splits), fading, seed, anchor)
     except ValueError:  # x + anchor rounded just past the dB domain
         assume(False)
 
 
 def _fading(n, seed=7):
-    return FadingConfig(num_samples=n, seed=seed)
+    return n, seed  # SweepConfig's (fading_samples, seed)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_configs())
 @example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-DB_LIMIT, 0.0, DB_LIMIT), (0.0, 1.0)))
-@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, DB_LIMIT), (0.0, 1.0), None, -DB_LIMIT))
-@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (-DB_LIMIT, 0.0), (0.5,), None, DB_LIMIT))
-@example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-10.0, 0.0, 40.0), (0.0, 0.5), _fading(1)))
-@example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-DB_LIMIT, DB_LIMIT), (1.0,), _fading(2)))
-@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 20.0), (0.25,), _fading(3, 2**64 - 1)))
-@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 30.0), DEFAULT_SPLITS, _fading(200), 5.0))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, DB_LIMIT), (0.0, 1.0), 0, 0, -DB_LIMIT))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (-DB_LIMIT, 0.0), (0.5,), 0, 0, DB_LIMIT))
+@example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-10.0, 0.0, 40.0), (0.0, 0.5), *_fading(1)))
+@example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-DB_LIMIT, DB_LIMIT), (1.0,), *_fading(2)))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 20.0), (0.25,), *_fading(3, 2**64 - 1)))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 30.0), DEFAULT_SPLITS, *_fading(200), 5.0))
 # Bench size, and sizes past numpy's 128-element pairwise-sum blocks, where a
 # reduction that summed in another order would change the last bits.
 @example(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-10.0, 15.0, 40.0), DEFAULT_SPLITS,
-                     _fading(6000, 0)))
-@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 20.0), (0.0, 0.5, 1.0), _fading(1001)))
+                     *_fading(6000, 0)))
+@example(SweepConfig(tuple(Scheme), X_AXIS_RATIO, (0.0, 20.0), (0.0, 0.5, 1.0), *_fading(1001)))
 def test_whole_grid_sweep_equals_per_point_reference_bit_for_bit(cfg):
     # The CSV prints every sum rate, so the grid evaluation must keep each bit,
     # the sign of zero included; fading means and stderrs are pinned the same way.
@@ -348,13 +357,13 @@ def test_whole_grid_sweep_equals_per_point_reference_bit_for_bit(cfg):
 
 
 @pytest.mark.parametrize("elements", [1, 7, 3 * 6000])
-@pytest.mark.parametrize("fading", [None, _fading(6000, 3)])
+@pytest.mark.parametrize("fading", [_fading(0, 3), _fading(6000, 3)], ids=["None", "fading1"])
 def test_cells_in_any_chunk_size_give_the_same_bits(monkeypatch, elements, fading):
     # Without fading (3 points), 1 and 7 elements give chunks of 1 and 2
     # cells. With fading, both give one-cell chunks, and 3 * 6000 gives
     # 3-cell chunks, so a point's 20 cells end in a 2-cell chunk.
     cfg = SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (-10.0, 0.0, 25.0), (0.0, 0.25, 0.5, 1.0),
-                      fading)
+                      *fading)
     whole = run_sweep(cfg)
     monkeypatch.setattr(sweep, "PLANE_BUFFER_ELEMENTS", elements)
     chunked = run_sweep(cfg)
@@ -396,11 +405,11 @@ def test_fading_sweep_memory_does_not_grow_with_the_cell_count():
     # stats reuse it.
     buffer_bytes = 8 * PLANE_BUFFER_ELEMENTS
     n = 2 * 10**5  # one cell per chunk
-    cfg = SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (10.0,), (0.0, 0.25, 0.5, 1.0), _fading(n))
+    cfg = SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (10.0,), (0.0, 0.25, 0.5, 1.0), *_fading(n))
     assert _peak_bytes(cfg) <= 64 * n + 2 * 2**20
     n = 2 * 10**4  # 13 cells per chunk
     few, many = (
-        _peak_bytes(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (10.0,), splits, _fading(n)))
+        _peak_bytes(SweepConfig(tuple(Scheme), X_AXIS_SYMMETRIC, (10.0,), splits, *_fading(n)))
         for splits in ((0.0, 0.25, 0.5, 1.0), tuple(k / 40 for k in range(41)))
     )
     assert many <= 64 * n + 2 * buffer_bytes
