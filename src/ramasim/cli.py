@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .channel import RNG_ALGORITHM, db_to_linear, from_db
-from .constellations import PSK, QAM, make_psk, make_qam
+from .constellations import make_psk, make_qam
 from .rates import Scheme
 from .region import trace_region
 from .sweep import (
@@ -39,7 +39,7 @@ from .sweep import (
     default_grid,
     run_sweep,
 )
-from .transceiver import verify_chain
+from .transceiver import DEFAULT_CHAIN_SPLITS, verify_chain
 
 CONFIG_SCHEMA_VERSION = 1
 # Largest --config file read, in bytes; a command's config echo is under 1 kB.
@@ -60,8 +60,7 @@ _SWEEP_CONVERT_VALUES = 1 << 14
 REGION_SCHEMES = (Scheme.OMA, Scheme.NOMA, Scheme.RAMA1, Scheme.RAMA2)
 SWEEP_SCHEMES = tuple(Scheme)
 CHECK_SCHEMES = (Scheme.RAMA1, Scheme.RAMA2)
-
-CHECK_DEFAULT_SPLITS = (0.1, 0.3, 0.5, 0.7, 0.9)
+PSK, QAM = "psk", "qam"  # signal-check's constellation names
 
 
 # --- value codecs ----------------------------------------------------------
@@ -170,7 +169,7 @@ CHECK_TABLE = {
     "constellation": (*_choice(PSK, QAM), _REQUIRED, "psk or qam"),
     "order": (*_INT, _REQUIRED, "constellation order"),
     "scheme": (*_choice(*CHECK_SCHEMES), _REQUIRED, "rama1 or rama2"),
-    "splits": (*_SPLITS, CHECK_DEFAULT_SPLITS, "power splits to check (rama2 only)"),
+    "splits": (*_SPLITS, DEFAULT_CHAIN_SPLITS, "power splits to check (rama2 only)"),
     "total_power": (*_FLOAT, 1.0, "total power p"),
 }
 

@@ -1,5 +1,6 @@
 """Achievable-rate-region tracing, Pareto filtering and frontier lookup."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,7 @@ def _frontier(scheme: Scheme, r1: np.ndarray, r2: np.ndarray) -> RateRegion:
     return RateRegion(scheme, s1[keep], s2[keep])
 
 
-def trace_region(scheme, lb: LinkBudget, n: int = 1000) -> RateRegion:
+def trace_region(scheme, lb: LinkBudget, n: int) -> RateRegion:
     """Frontier from an n-point sweep of the scheme's allocation parameters.
 
     The power split p1/p runs over n points of [0, 1] (endpoints included).
@@ -101,6 +102,8 @@ def trace_region(scheme, lb: LinkBudget, n: int = 1000) -> RateRegion:
     scheme = Scheme(scheme)
     if scheme is Scheme.RECONFIG_NOMA:
         raise ValueError(f"region tracing is not defined for scheme {scheme.value!r}")
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"grid_n: grid resolution n = {n!r} is not an integer")
     if n < 2:
         raise ValueError("grid_n: grid resolution n must be >= 2")
     points = n * n if scheme is Scheme.OMA else n
@@ -139,10 +142,8 @@ def r2_at_r1(region: RateRegion, r1_target: float) -> float:
     frontier's reach are an error.
     """
     f1, f2 = region.r1, region.r2
-    if r1_target < 0.0 or r1_target > f1[-1]:
+    if not 0.0 <= r1_target <= f1[-1]:
         raise ValueError(
             f"r1_target {r1_target!r} outside the frontier range [0, {f1[-1]!r}]"
         )
-    if r1_target <= f1[0]:
-        return float(f2[0])
     return float(np.interp(r1_target, f1, f2))

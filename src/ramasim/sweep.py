@@ -28,6 +28,7 @@ power split, and reconfigurable-antenna NOMA uses an equal beam split.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,6 +104,9 @@ class SweepConfig:
     ratio_anchor_db: float = 0.0
 
     def __post_init__(self):
+        for key in ("fading_samples", "seed"):
+            if not isinstance(getattr(self, key), numbers.Integral):
+                raise ValueError(f"{key}: {getattr(self, key)!r} is not an integer")
         if self.fading_samples != 0 and self.fading_samples < 1:
             raise ValueError("fading_samples: fading num_samples must be >= 1")
         if self.fading_samples > MAX_FADING_SAMPLES:
@@ -123,7 +127,9 @@ class SweepConfig:
         grid = default_grid(self.x_axis) if grid is None else tuple(float(x) for x in grid)
         if not grid:
             raise ValueError("grid_db must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if len(grid) > MAX_GRID_POINTS:
+            raise ValueError(f"grid_db: {len(grid)} levels are above the cap of {MAX_GRID_POINTS}")
+        if not all(a < b for a, b in zip(grid, grid[1:])):  # False for a NaN neighbour
             raise ValueError("grid_db must be strictly increasing")
         object.__setattr__(self, "grid_db", grid)
         splits = tuple(float(t) + 0.0 for t in self.splits)  # + 0.0: a -0 split is 0

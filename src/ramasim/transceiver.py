@@ -16,15 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constellations
+from .channel import MAX_PG
 from .constellations import TWO_PI, Constellation, relate
 
-# verify_chain squares chain amplitudes up to about 1e3 * p (qam-1024's
-# largest squared amplitude ratio is 961); capping the power at 1e100 keeps
-# every square finite, as channel.DB_LIMIT does for the gains.
-MAX_TOTAL_POWER = 1e100
-# rama2's verify_chain work, splits * order^2, is capped at that of its largest
-# default input: qam-1024 (MAX_ORDER) with signal-check's 5 default splits.
-MAX_CHAIN_SPLITS = 5
+# signal-check's default power splits p1/p. They also size rama2's cap:
+# verify_chain's work, splits * M^2, may not pass that of qam-1024 (MAX_ORDER)
+# with these splits. The total power is capped at channel.MAX_PG (1e100), as
+# the gains are: verify_chain squares chain amplitudes up to about 1e3 * p
+# (qam-1024's largest squared amplitude ratio is 961), so every square stays finite.
+DEFAULT_CHAIN_SPLITS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 RAMA1_MODULUS_ERROR = (
     "PSK-modulus symbols required: |s1| != |s2|, and an equal power "
@@ -142,18 +142,18 @@ def verify_chain(constellation: Constellation, scheme, splits, p: float) -> tupl
     `splits` is unused, and the single pair uses `rama1_transmit` and its
     `total_power`; a pair of unequal moduli raises the same ValueError as
     `rama1_transmit`. Every value equals the scalar chains' result bit for bit.
-    p must lie in (0, MAX_TOTAL_POWER]; NaN is refused too. For 'rama2',
-    len(splits) * M^2 must not pass MAX_CHAIN_SPLITS * MAX_ORDER^2.
+    p must lie in (0, channel.MAX_PG]; NaN is refused too. For 'rama2',
+    len(splits) * M^2 must not pass len(DEFAULT_CHAIN_SPLITS) * MAX_ORDER^2.
     """
     if scheme not in ("rama1", "rama2"):
         raise ValueError(f"no transmit chain to verify for scheme {scheme!r}")
     if not p > 0.0:
         raise ValueError("total_power must be positive")
-    if p > MAX_TOTAL_POWER:
-        raise ValueError(f"total_power: {p!r} is above the cap of {MAX_TOTAL_POWER:g}")
+    if p > MAX_PG:
+        raise ValueError(f"total_power: {p!r} is above the cap of {MAX_PG:g}")
     points = constellation.points
     pairs = len(points) ** 2
-    cap = MAX_CHAIN_SPLITS * constellations.MAX_ORDER**2
+    cap = len(DEFAULT_CHAIN_SPLITS) * constellations.MAX_ORDER**2
     if scheme == "rama2" and len(splits) * pairs > cap:
         raise ValueError(
             f"splits: {len(splits)} splits of {pairs} symbol pairs each are "

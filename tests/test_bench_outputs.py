@@ -2,8 +2,7 @@
 
 Replays the benchmark's default-seed inputs through `ramasim.cli.main` in
 process and checks each output with the benchmark's own `check_output`
-against `perfbench/golden_sha256.json`: every `region` op, and the first
-few ops of each other workload.
+against `perfbench/golden_sha256.json`: every op of every workload.
 """
 
 import contextlib
@@ -17,7 +16,6 @@ import pytest
 import ramasim.cli as cli
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
-FIRST_OPS = 4  # per workload other than region
 
 _spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
@@ -27,8 +25,7 @@ GOLDEN = json.loads((BENCH / "golden_sha256.json").read_text(encoding="utf-8"))
 
 def _cases():
     for name in workloads.WORKLOADS:
-        ops = workloads.make_ops(name, 0)
-        for i, op in enumerate(ops if name == "region" else ops[:FIRST_OPS]):
+        for i, op in enumerate(workloads.make_ops(name, 0)):
             yield pytest.param(name, op, id=f"{name}-{i}")
 
 

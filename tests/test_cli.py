@@ -510,9 +510,10 @@ def test_signal_check_order_cap_is_inclusive(monkeypatch, capsys):
 
 
 def test_signal_check_split_cap_is_inclusive(monkeypatch, capsys):
-    # The cap is MAX_CHAIN_SPLITS splits at MAX_ORDER: 5 * 16^2 symbol pairs here.
+    # The cap is the default split count at MAX_ORDER: 5 * 16^2 symbol pairs here.
     monkeypatch.setattr(constellations, "MAX_ORDER", 16)
-    cap = transceiver.MAX_CHAIN_SPLITS
+    assert cli.CHECK_TABLE["splits"][2] is transceiver.DEFAULT_CHAIN_SPLITS
+    cap = len(transceiver.DEFAULT_CHAIN_SPLITS)
     rama2 = ["signal-check", "--constellation", "psk", "--scheme", "rama2"]
     for order, splits in ((16, cap), (8, 4 * cap)):
         argv = rama2 + ["--order", str(order), "--splits"]

@@ -22,10 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ramasim.cli as cli
+from ramasim.channel import MAX_PG
 from ramasim.constellations import MAX_ORDER
 from ramasim.region import MAX_REGION_POINTS
 from ramasim.sweep import MAX_FADING_SAMPLES, MAX_GRID_POINTS, MAX_SPLITS
-from ramasim.transceiver import MAX_CHAIN_SPLITS, MAX_TOTAL_POWER
+from ramasim.transceiver import DEFAULT_CHAIN_SPLITS
 
 MISSING_DIR = os.path.join(tempfile.gettempdir(), "ramasim-no-such-dir")
 
@@ -77,8 +78,8 @@ SIGNAL_FLAGS = {
     "--order": (["2", "4", "8", "16"], ["3", "0", "-4", "1.5", str(MAX_ORDER + 1)] + JUNK),
     "--scheme": (["rama1", "rama2"], ["noma", "rama1,rama2", ""]),
     "--splits": SPLITS,
-    "--total-power": (["1", "0.5", str(MAX_TOTAL_POWER), "1e-308", "5e-324"],
-                      ["0", "-1", "1e306", "1e308", repr(MAX_TOTAL_POWER * 1.000001), "abc"]),
+    "--total-power": (["1", "0.5", str(MAX_PG), "1e-308", "5e-324"],
+                      ["0", "-1", "1e306", "1e308", repr(MAX_PG * 1.000001), "abc"]),
 }
 SIGNAL_REQUIRED = ("--constellation", "--order", "--scheme")
 
@@ -116,8 +117,8 @@ def _command_argv(draw, command, flags, required):
 
 
 # signal-check's work, splits x order^2, one split above its cap at the largest order
-CHAIN_OVER_CAP = ["signal-check", "--constellation", "qam", "--order", str(MAX_ORDER),
-                  "--scheme", "rama2", "--splits", ",".join(["0.5"] * (MAX_CHAIN_SPLITS + 1))]
+CHAIN_OVER_CAP = ["signal-check", "--constellation", "qam", "--order", str(MAX_ORDER), "--scheme",
+                  "rama2", "--splits", ",".join(["0.5"] * (len(DEFAULT_CHAIN_SPLITS) + 1))]
 
 _ARGV = st.one_of(
     _command_argv("region", REGION_FLAGS, REGION_REQUIRED),

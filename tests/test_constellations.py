@@ -18,7 +18,7 @@ from ramasim.constellations import (
 
 def test_bpsk_points():
     const = make_psk(2)
-    assert const.order == 2 and const.kind == "psk"
+    assert len(const.points) == 2
     assert abs(const.points[0] - 1.0) <= 1e-12
     assert abs(const.points[1] + 1.0) <= 1e-12
 
@@ -88,7 +88,7 @@ def test_qam_rejects_non_square_order(order):
 @pytest.mark.parametrize("make", [make_psk, make_qam])
 def test_order_cap_is_checked_before_allocation(make):
     # Without the cap, 10**9 starts building a billion-point tuple.
-    assert make(MAX_ORDER).order == MAX_ORDER
+    assert len(make(MAX_ORDER).points) == MAX_ORDER
     for order in (MAX_ORDER + 1, 10**9):
         with pytest.raises(ValueError, match=f"order: {order} is above the cap of {MAX_ORDER}"):
             make(order)
@@ -96,12 +96,21 @@ def test_order_cap_is_checked_before_allocation(make):
 
 def test_constellation_rejects_unnormalized_points():
     with pytest.raises(ValueError, match="average power"):
-        Constellation((2 + 0j, -2 + 0j), "psk", 2)
+        Constellation((2 + 0j, -2 + 0j))
 
 
 def test_constellation_rejects_duplicates():
     with pytest.raises(ValueError, match="distinct"):
-        Constellation((1 + 0j, 1 + 0j), "psk", 2)
+        Constellation((1 + 0j, 1 + 0j))
+
+
+@pytest.mark.parametrize(
+    "points", [(0j, math.sqrt(2.0) + 0j), (0j, math.sqrt(1.5) + 0j, -math.sqrt(1.5) + 0j)]
+)
+def test_constellation_rejects_the_origin(points):
+    # relate divides by |s1|, so no constellation may hold the origin.
+    with pytest.raises(ValueError, match="^constellation points must not include the origin$"):
+        Constellation(points)
 
 
 @pytest.mark.parametrize("make", [make_psk, make_qam])
@@ -120,7 +129,7 @@ def test_constellation_rejects_non_finite_points(make, bad):
     good = make(4)
     points = (bad,) + good.points[1:]
     with pytest.raises(ValueError, match=f"point {re.escape(repr(bad))} is not finite"):
-        Constellation(points, good.kind, 4)
+        Constellation(points)
 
 
 def test_relate_identity():

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramasim.channel import from_db
+from ramasim.channel import MAX_PG, from_db
 from ramasim.constellations import MAX_ORDER, make_psk, make_qam
 from ramasim.rates import Scheme
 from ramasim.region import trace_region
@@ -27,12 +27,12 @@ from ramasim.sweep import (
     build_grid,
     run_sweep,
 )
-from ramasim.transceiver import MAX_TOTAL_POWER, verify_chain
+from ramasim.transceiver import verify_chain
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 EDGES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0,
-         MAX_TOTAL_POWER, 1000.0, -1000.0]
+         MAX_PG, 1000.0, -1000.0]
 ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(EDGES))
 # dB levels: inside the +-1000 dB domain, near it, or anywhere
 LEVEL = st.one_of(st.floats(-1000.0, 1000.0), st.floats(-1100.0, 1100.0), ANY_FLOAT)
@@ -48,16 +48,31 @@ def _call(fn, *args):
             return None
 
 
+def _refuses(key, fn, *args) -> bool:
+    """True if fn(*args) raises a ValueError whose message opens with `key:`."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc).startswith(f"{key}: ")
+    return False
+
+
 def _all_finite(values) -> bool:
     return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
 
 
 @FUZZ
-@given(st.sampled_from([make_psk, make_qam]), st.integers(-10, MAX_ORDER + 1))
+@given(st.sampled_from([make_psk, make_qam]),
+       st.one_of(st.integers(-10, MAX_ORDER + 1), ANY_FLOAT))
+@example(make_psk, 8.0)
+@example(make_qam, 16.0)
 def test_constellation_builders(make, order):
+    if isinstance(order, float):
+        assert _refuses("order", make, order)
+        return
     const = _call(make, order)
     if const is not None:
-        assert const.order == order <= MAX_ORDER
+        assert len(const.points) == order <= MAX_ORDER
         assert all(math.isfinite(s.real) and math.isfinite(s.imag) for s in const.points)
 
 
@@ -81,15 +96,23 @@ def _small_constellations(draw):
 def test_verify_chain(const, scheme, splits, p):
     errors = _call(verify_chain, const, scheme, tuple(splits), p)
     if errors is not None:
-        assert 0.0 < p <= MAX_TOTAL_POWER
+        assert 0.0 < p <= MAX_PG
         assert _all_finite(errors)
 
 
 @FUZZ
-@given(st.integers(), st.integers())
+@given(st.one_of(st.integers(), ANY_FLOAT), st.one_of(st.integers(), ANY_FLOAT))
+@example(2.5, 1)
+@example(2, 1.5)
 def test_fading_config(num_samples, seed):
-    cfg = _call(SweepConfig, (Scheme.NOMA,), X_AXIS_SYMMETRIC, None, (0.5,), num_samples, seed)
-    assert (cfg is not None) == (0 <= num_samples <= MAX_FADING_SAMPLES)  # 0 = no fading
+    args = ((Scheme.NOMA,), X_AXIS_SYMMETRIC, None, (0.5,), num_samples, seed)
+    if isinstance(num_samples, float):
+        assert _refuses("fading_samples", SweepConfig, *args)
+    elif isinstance(seed, float):
+        assert _refuses("seed", SweepConfig, *args)
+    else:
+        cfg = _call(SweepConfig, *args)
+        assert (cfg is not None) == (0 <= num_samples <= MAX_FADING_SAMPLES)  # 0 = no fading
 
 
 @st.composite
@@ -101,17 +124,22 @@ def _sweeps(draw):
     splits = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
     fading = draw(st.one_of(st.just((0, 0)), st.tuples(st.integers(1, 4), st.integers())))
     x_axis = draw(st.sampled_from([X_AXIS_SYMMETRIC, X_AXIS_RATIO]))
-    return (start, stop, step), schemes, x_axis, splits, fading, draw(LEVEL)
+    hole = draw(st.one_of(st.none(), LEVEL))  # a level put after the grid's first
+    return (start, stop, step), schemes, x_axis, splits, fading, draw(LEVEL), hole
 
 
 @FUZZ
 @given(_sweeps())
+# A NaN inside the grid once passed SweepConfig and failed in run_sweep.
+@example(((0.0, 2.0, 1.0), [Scheme.NOMA], X_AXIS_SYMMETRIC, [0.5], (0, 0), 0.0, math.nan))
 def test_build_grid_then_sweep(setup):
-    bounds, schemes, x_axis, splits, fading, anchor = setup
+    bounds, schemes, x_axis, splits, fading, anchor, hole = setup
     grid = _call(build_grid, *bounds)
     if grid is None or len(grid) > 20:
         return
     assert _all_finite(grid)
+    if hole is not None:
+        grid = grid[:1] + (hole,) + grid[1:]
     cfg = _call(SweepConfig, schemes, x_axis, grid, splits, *fading, anchor)
     if cfg is None:
         return
@@ -121,10 +149,14 @@ def test_build_grid_then_sweep(setup):
 
 
 @FUZZ
-@given(st.sampled_from(list(Scheme)), LEVEL, LEVEL, st.integers(-2, 40))
+@given(st.sampled_from(list(Scheme)), LEVEL, LEVEL, st.one_of(st.integers(-2, 40), ANY_FLOAT))
+@example(Scheme.NOMA, 0.0, 0.0, 2.5)
 def test_trace_region(scheme, g1_db, g2_db, n):
     lb = _call(from_db, g1_db, g2_db)
     if lb is None:
+        return
+    if isinstance(n, float) and scheme is not Scheme.RECONFIG_NOMA:
+        assert _refuses("grid_n", trace_region, scheme, lb, n)
         return
     region = _call(trace_region, scheme, lb, n)
     if region is not None:

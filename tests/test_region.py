@@ -101,6 +101,8 @@ def test_trace_region_rejects_unknown_and_untraceable_schemes():
         trace_region(Scheme.RECONFIG_NOMA, lb, 10)
     with pytest.raises(ValueError, match=">= 2"):
         trace_region(Scheme.NOMA, lb, 1)
+    with pytest.raises(ValueError, match="^grid_n: grid resolution n = 2.5 is not an integer$"):
+        trace_region(Scheme.NOMA, lb, 2.5)
 
 
 def test_rama1_region_is_single_point():
@@ -217,6 +219,8 @@ def test_r2_at_r1_endpoints_and_range():
         r2_at_r1(region, region.max_r1 + 0.1)
     with pytest.raises(ValueError, match="outside"):
         r2_at_r1(region, -0.5)
+    with pytest.raises(ValueError, match="^r1_target nan outside"):
+        r2_at_r1(region, math.nan)
 
 
 def test_trace_region_caps_allocation_points(monkeypatch):

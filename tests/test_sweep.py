@@ -12,6 +12,7 @@ from ramasim.rates import Scheme
 from ramasim.sweep import (
     DEFAULT_SPLITS,
     MAX_FADING_SAMPLES,
+    MAX_GRID_POINTS,
     MAX_SPLITS,
     PLANE_BUFFER_ELEMENTS,
     SweepConfig,
@@ -65,6 +66,18 @@ def test_config_validation_messages_name_fields():
     assert cfg.fading_samples == MAX_FADING_SAMPLES
     with pytest.raises(ValueError, match="above the cap"):
         SweepConfig(schemes=(Scheme.NOMA,), fading_samples=MAX_FADING_SAMPLES + 1)
+    with pytest.raises(ValueError, match="^fading_samples: 2.5 is not an integer$"):
+        SweepConfig(schemes=(Scheme.NOMA,), fading_samples=2.5)
+    with pytest.raises(ValueError, match="^seed: 1.5 is not an integer$"):
+        SweepConfig(schemes=(Scheme.NOMA,), seed=1.5)
+    cfg = SweepConfig(schemes=(Scheme.NOMA,), fading_samples=np.int64(2), seed=np.uint64(3))
+    assert (cfg.fading_samples, cfg.seed) == (2, 3)
+    with pytest.raises(ValueError, match="^grid_db must be strictly increasing$"):
+        SweepConfig(schemes=(Scheme.NOMA,), grid_db=(0.0, math.nan, 1.0))
+    levels = [i / 10.0 for i in range(MAX_GRID_POINTS + 1)]  # 0 to 1000 dB
+    assert len(SweepConfig(schemes=(Scheme.NOMA,), grid_db=levels[:-1]).grid_db) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=f"^grid_db: {MAX_GRID_POINTS + 1} levels are above"):
+        SweepConfig(schemes=(Scheme.NOMA,), grid_db=levels)
 
 
 def test_sweep_split_cap_is_exact():

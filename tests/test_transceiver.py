@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramasim.channel import MAX_PG
 from ramasim.constellations import make_psk, make_qam
 from ramasim.transceiver import (
-    MAX_TOTAL_POWER,
     PowerAllocation,
     TxSignal,
     rama1_transmit,
@@ -212,7 +212,7 @@ def test_verify_chain_rejects_schemes_without_a_chain():
 
 def test_verify_chain_total_power_bounds():
     const = make_qam(16)
-    assert verify_chain(const, "rama2", (0.5,), MAX_TOTAL_POWER)[0][0] >= 0.0
+    assert verify_chain(const, "rama2", (0.5,), MAX_PG)[0][0] >= 0.0
     for p in (0.0, -1.0, -math.inf, math.nan):
         with pytest.raises(ValueError, match="^total_power must be positive$"):
             verify_chain(const, "rama2", (0.5,), p)
