@@ -51,11 +51,11 @@ EXIT_CONFIG = 2
 
 SIGNAL_TOL = 1e-12
 
-# Region CSV rows per block: one % formats them and one write writes them.
-_REGION_BLOCK_ROWS = 1 << 10
-# Sweep values per tolist(), so formatting memory does not grow with the grid;
+# Region CSV rows per block: one _g6 call formats them and one write writes them.
+_REGION_BLOCK_ROWS = 1 << 12
+# Sweep values per _g6 call, so formatting memory does not grow with the grid;
 # whole grid points, or one point if it holds more.
-_SWEEP_CONVERT_VALUES = 1 << 14
+_SWEEP_CONVERT_VALUES = 1 << 10
 
 REGION_SCHEMES = (Scheme.OMA, Scheme.NOMA, Scheme.RAMA1, Scheme.RAMA2)
 SWEEP_SCHEMES = tuple(Scheme)
@@ -279,6 +279,102 @@ def _write_output(out: str, blocks) -> None:
             fh.write("\n")
 
 
+# --- CSV number encoding ------------------------------------------------------
+# _g6 turns each float64 into the text of "%.6g" % x in a 16-byte field: a NUL
+# byte the caller may set to a separator, then the text with NULs as gaps.
+# _text lays fields and constant bytes side by side in one uint8 matrix of
+# rows, and one bytes.translate(None, b"\0") per matrix drops the gaps.
+
+
+def _g6_tables() -> tuple:
+    """(digit words, trailing zeros, mask words, decoration words) of the fast path.
+
+    In fixed notation a field's bytes are the separator, "0.00", then
+    d1 . d2 . d3 . d4 . d5 . d6: the six digits of x rounded, each of the
+    first five followed by a slot for the point. Rows g and 1000 + g of the
+    digit words place the ASCII of the 3-digit group g as digits 1-3 and 4-6
+    of the field's two little-endian words. For x of exponent e (-3 to 5),
+    row 7 * (e + 3) + kept of the mask words keeps the first `kept` digits,
+    and that of the decoration words holds the "0." and "0"s of e < 0, or
+    the point after digit e + 1 when kept digits follow it. Built from
+    Python bytes: the first use of numpy's integer operations at import
+    grew the peak memory of every command, signal-check too, by about 1 MB.
+    """
+    groups = b"".join(b"%03d" % g for g in range(1000))
+    digits = bytearray(2000 * 16)
+    for d in range(3):  # digit d of every group
+        digits[5 + 2 * d:16000:16] = digits[16011 + 2 * d::16] = groups[d::3]
+    mask, decor = bytearray(63 * 16), bytearray(63 * 16)
+    for q in range(9):  # q = e + 3
+        for kept in range(7):
+            row = 16 * (7 * q + kept)
+            mask[row + 5:row + 5 + 2 * kept:2] = b"\xff" * kept
+            if q < 3:
+                decor[row + 1:row + 5 - q] = b"0." + b"0" * (2 - q)
+            elif kept > q - 2:
+                decor[row + 2 * q] = ord(".")
+    zeros = [(g % 10 == 0) + (g % 100 == 0) + (g % 1000 == 0) for g in range(1000)]
+    words = [np.frombuffer(bytes(table), "<u8").reshape(-1, 2) for table in (digits, mask, decor)]
+    return words[0], np.array(zeros, np.intp), words[1], words[2]
+
+
+_G6_DIGITS, _G6_ZEROS, _G6_MASK, _G6_DECOR = _g6_tables()
+_G6_POW10 = np.array([float(10**k) for k in range(9)])
+
+
+def _g6(values) -> np.ndarray:
+    """The bytes of "%.6g" % x for each x, as a uint8 array of shape values.shape + (16,).
+
+    Byte 0 of each field is NUL; the text follows, NUL-padded. Each field
+    depends on its x alone. 1e-3 <= x < 1e6 prints in fixed notation, from
+    m = x * 10**(5 - e) with e = floor(log10 x): one rounding, within 2**-33
+    of exact since m < 2**20, so rint(m) is the six digits % rounds to unless
+    m is within 1e-6 of a tie. Where log10 rounds up to e at an x just below
+    10**e, m is just below 1e5 and rounds to it, as % does. Python's % formats
+    the rest: near ties, a carry to 10**6 (or an e one too low), exponent
+    form, zero, negatives, NaN and infinities.
+    """
+    x = np.asarray(values, np.float64)
+    fast = (x >= 1e-3) & (x < 1e6)  # False for NaN
+    m = np.where(fast, x, 1.0)
+    q = np.clip(np.floor(np.log10(m)), -3, 5).astype(np.intp) + 3
+    m *= _G6_POW10[8 - q]
+    r = np.rint(m)
+    fast &= (r < 1e6) & (np.abs(m - r) < 0.499999)
+    lo = np.minimum(r, 999999.0, out=r).astype(np.intp)  # the six digits
+    del m, r  # the peak memory per value bounds the values per call
+    hi = lo // 1000
+    lo -= 1000 * hi
+    row = np.maximum(q - 2, 6 - _G6_ZEROS[lo] - (lo == 0) * _G6_ZEROS[hi])  # digits kept
+    row += 7 * q
+    words = np.take(_G6_DIGITS, hi, 0)
+    words |= np.take(_G6_DIGITS, 1000 + lo, 0)
+    words &= np.take(_G6_MASK, row, 0)
+    words |= np.take(_G6_DECOR, row, 0)
+    out = words.view(np.uint8)
+    slow = ~fast
+    if slow.any():
+        text = ["%.6g" % v for v in x[slow].tolist()]
+        out[slow, 1:] = np.array(text, "S15").view(np.uint8).reshape(len(text), 15)
+    return out
+
+
+def _text(shape, *parts) -> str:
+    """Rows of `shape` made of the uint8 `parts` side by side, each broadcast to
+    `shape`, as ASCII text less its first byte and every NUL."""
+    width = sum(part.shape[-1] for part in parts)
+    buf = bytearray(math.prod(shape) * width)
+    rows = np.frombuffer(buf, np.uint8).reshape(*shape, width)
+    at = 0
+    for part in parts:
+        rows[..., at:at + part.shape[-1]] = part
+        at += part.shape[-1]
+    buf[0] = 0
+    text = buf.translate(None, b"\0")
+    del rows, buf  # so the decoded copy does not coexist with the matrix
+    return text.decode("ascii")
+
+
 # --- commands ---------------------------------------------------------------
 # Each takes the merged parameters and returns (exit code, output blocks); a
 # block is one or more lines joined by newlines. All work is done before it
@@ -286,17 +382,16 @@ def _write_output(out: str, blocks) -> None:
 
 
 def _region_blocks(scheme: Scheme, r1, r2):
-    """The CSV rows of one frontier, `_REGION_BLOCK_ROWS` rows a block."""
+    """The CSV rows of one frontier, `_REGION_BLOCK_ROWS` rows a block.
+
+    A row is "\\n" and the scheme, then the r1 and r2 fields, each led by ",".
+    """
+    lead = np.frombuffer(b"\n" + str(scheme).encode(), np.uint8)
     k = _REGION_BLOCK_ROWS
-    row = "%s,%%.6g,%%.6g" % scheme  # no scheme name holds a "%"
-    template = "\n".join([row] * k)
     for start in range(0, len(r1), k):
-        # (r1, r2) interleaved one block at a time: a whole frontier as Python
-        # floats would outweigh its arrays several times over.
-        pairs = np.stack((r1[start:start + k], r2[start:start + k]), 1).ravel().tolist()
-        if len(pairs) < 2 * k:
-            template = "\n".join([row] * (len(pairs) // 2))
-        yield template % tuple(pairs)
+        fields = _g6(np.stack((r1[start:start + k], r2[start:start + k]), 1))
+        fields[..., 0] = ord(",")
+        yield _text((len(fields),), lead, fields.reshape(len(fields), -1))
 
 
 def _cmd_region(params) -> tuple:
@@ -309,24 +404,31 @@ def _cmd_region(params) -> tuple:
 def _sweep_blocks(result):
     """The CSV rows of one grid point's (scheme, split) cells a block, in C order.
 
-    A block is the bytes of "%.6g,%s,%.6g,%.6g,%.6g" % (x, scheme, split,
-    mean, stderr) for each cell, from one template: "\\0" stands for x, which
-    is formatted once per point, and one % fills the means (and stderrs,
-    interleaved). No scheme name or %.6g split holds a "%" or a "\\0". Values
-    become Python floats in whole points, at most `_SWEEP_CONVERT_VALUES` a tolist().
+    A row is "\\n" ("\\x01" for a point's first row, where the text splits
+    into blocks), x's field, the cell's ",scheme,split", then the mean's and
+    stderr's fields led by ","; an all-zero stderr column is the constant
+    ",0" ("%.6g" % 0.0 == "0"). Values are encoded in whole points, at most
+    `_SWEEP_CONVERT_VALUES` a `_g6` call, or one point if it holds more.
     """
     zero_errors = not result.errors.view(np.uint64).any()  # every stderr is +0.0
-    stderr = "0" if zero_errors else "%%.6g"  # "%.6g" % 0.0 == "0"
-    template = "\n".join(
-        ("\0,%s,%.6g,%%.6g," + stderr) % (s, t) for s in result.schemes for t in result.splits
-    )
+    cells = np.array([",%s,%.6g" % (s, t) for s in result.schemes for t in result.splits], "S")
+    cells = cells.view(np.uint8).reshape(len(cells), -1)  # NUL-padded
+    lead = np.full((len(cells), 1), ord("\n"), np.uint8)
+    lead[0] = 1
+    tail = np.frombuffer(b",0" if zero_errors else b"", np.uint8)
     columns = (result.means,) if zero_errors else (result.means, result.errors)
-    step = max(1, _SWEEP_CONVERT_VALUES // (len(columns) * result.means[0].size))
+
+    def blocks(points):
+        x = np.asarray(result.grid[points])
+        fields = _g6(np.concatenate([x] + [c[points].ravel() for c in columns]))
+        fields[len(x):, 0] = ord(",")
+        shape = (len(x), len(cells))
+        values = fields[len(x):].reshape(len(columns), *shape, 16)
+        return _text(shape, lead, fields[:len(x), None], cells, *values, tail).split("\x01")
+
+    step = max(1, _SWEEP_CONVERT_VALUES // (len(columns) * len(cells)))
     for start in range(0, len(result.grid), step):
-        points = slice(start, start + step)
-        values = np.stack([c[points] for c in columns], -1)
-        for x, cells in zip(result.grid[points], values.reshape(len(values), -1).tolist()):
-            yield template.replace("\0", "%.6g" % x) % tuple(cells)
+        yield from blocks(slice(start, start + step))
 
 
 def _cmd_sweep(params) -> tuple:

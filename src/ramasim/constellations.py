@@ -31,6 +31,8 @@ class Constellation:
     points: tuple[complex, ...]
 
     def __post_init__(self):
+        if not self.points:
+            raise ValueError("points must be nonempty")
         for s in self.points:
             if not cmath.isfinite(s):
                 raise ValueError(f"constellation point {s!r} is not finite")

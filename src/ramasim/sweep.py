@@ -114,6 +114,8 @@ class SweepConfig:
                 f"fading_samples: fading num_samples {self.fading_samples} is above the cap of "
                 f"{MAX_FADING_SAMPLES}"
             )
+        if isinstance(self.schemes, str):  # a Scheme too: its characters are no schemes
+            raise ValueError(f"schemes: {self.schemes!r} is one string, not a sequence of schemes")
         schemes = tuple(Scheme(s) for s in self.schemes)
         if not schemes:
             raise ValueError("schemes must be nonempty")

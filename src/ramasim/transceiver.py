@@ -143,6 +143,7 @@ def verify_chain(constellation: Constellation, scheme, splits, p: float) -> tupl
     `total_power`; a pair of unequal moduli raises the same ValueError as
     `rama1_transmit`. Every value equals the scalar chains' result bit for bit.
     p must lie in (0, channel.MAX_PG]; NaN is refused too. For 'rama2',
+    `splits` must be nonempty, each split in [0, 1] (not NaN), and
     len(splits) * M^2 must not pass len(DEFAULT_CHAIN_SPLITS) * MAX_ORDER^2.
     """
     if scheme not in ("rama1", "rama2"):
@@ -154,11 +155,17 @@ def verify_chain(constellation: Constellation, scheme, splits, p: float) -> tupl
     points = constellation.points
     pairs = len(points) ** 2
     cap = len(DEFAULT_CHAIN_SPLITS) * constellations.MAX_ORDER**2
-    if scheme == "rama2" and len(splits) * pairs > cap:
-        raise ValueError(
-            f"splits: {len(splits)} splits of {pairs} symbol pairs each are "
-            f"{len(splits) * pairs} pair checks, above the cap of {cap}"
-        )
+    if scheme == "rama2":
+        if not splits:
+            raise ValueError("splits: split list must be nonempty")
+        for split in splits:
+            if not 0.0 <= split <= 1.0:  # False for NaN
+                raise ValueError(f"splits: split {split!r} outside [0, 1]")
+        if len(splits) * pairs > cap:
+            raise ValueError(
+                f"splits: {len(splits)} splits of {pairs} symbol pairs each are "
+                f"{len(splits) * pairs} pair checks, above the cap of {cap}"
+            )
     re = np.array([s.real for s in points])
     im = np.array([s.imag for s in points])
     re1, im1 = re[:, None], im[:, None]

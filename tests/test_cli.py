@@ -802,6 +802,44 @@ def test_sweep_csv_rows_equal_the_row_template(inputs):
         assert lines[1:] == ["%.6g,%s,%.6g,%.6g,%.6g" % row for row in rows]
 
 
+# --- the %.6g encoder against Python's % -------------------------------------------
+
+
+def _bits(pattern):
+    return float(np.uint64(pattern).view(np.float64))
+
+
+def _ulps(value):
+    """`value` and its two neighbours."""
+    return [float(np.nextafter(value, -math.inf)), value, float(np.nextafter(value, math.inf))]
+
+
+_G6_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits),  # NaNs, infinities, -0.0 and subnormals too
+    st.builds(lambda f, k: f * 10.0**k, st.floats(1.0, 10.0), st.integers(-5, 7)),
+    st.integers(-5, 7).map(lambda k: 10.0**k).flatmap(lambda p: st.sampled_from(_ulps(p))),
+    st.integers(100_000, 999_999).map(lambda k: k + 0.5),  # exact ties
+    st.builds(lambda k, m: (k + 0.5) / 2**m, st.integers(100_000, 999_999), st.integers(1, 40)),
+    # decimal ties, which a double holds only to the nearest binary value
+    st.builds(lambda k, j: float(f"{k}5e{j}"), st.integers(100_000, 999_999), st.integers(-10, 0)),
+    # a carry into the next decade: 999999.5, 9.999995, ...
+    st.integers(-5, 6).map(lambda k: 9.999995 * 10.0**k).flatmap(
+        lambda v: st.sampled_from(_ulps(v))),
+    st.floats(-DB_LIMIT, 0.0),  # negative sweep x_db
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_G6_VALUES, min_size=1, max_size=64))
+@example([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-3, 1e-4,
+          999999.5, 999999.49999999994, 9.999995, 1e6, 0.05, -10.0, 1.7976931348623157e308])
+def test_g6_fields_equal_percent_format(values):
+    fields = cli._g6(np.array(values))
+    assert fields.shape == (len(values), 16) and not fields[:, 0].any()
+    texts = [bytes(field).replace(b"\0", b"").decode("ascii") for field in fields]
+    assert texts == ["%.6g" % v for v in values]
+
+
 # --- blocks: region rows against the row template, and one block per write -------
 
 _K = cli._REGION_BLOCK_ROWS
@@ -859,9 +897,9 @@ def _formatting_peak(result):
 
 @pytest.mark.parametrize("fading", [False, True])
 def test_sweep_formatting_memory_does_not_grow_with_the_grid(fading):
-    # 5 schemes x 64 splits: 320 or 640 values a point, so 51 or 25 points a
-    # conversion. Each converted value holds a few dozen bytes of Python float
-    # and list; one point's rows are about 13 kB of text.
+    # 5 schemes x 64 splits: 320 or 640 values a point, so 3 points or 1 point
+    # a conversion. Each encoded value holds about 130 bytes of arrays and text
+    # at the peak; one point's rows are about 13 kB of text.
     splits = tuple(k / 63 for k in range(64))
     few, many = (
         _formatting_peak(_sweep_result(g, tuple(Scheme), splits, fading)) for g in (100, 400)

@@ -99,6 +99,11 @@ def test_constellation_rejects_unnormalized_points():
         Constellation((2 + 0j, -2 + 0j))
 
 
+def test_constellation_rejects_an_empty_point_set():
+    with pytest.raises(ValueError, match="^points must be nonempty$"):
+        Constellation(())
+
+
 def test_constellation_rejects_duplicates():
     with pytest.raises(ValueError, match="distinct"):
         Constellation((1 + 0j, 1 + 0j))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,9 @@ def test_default_grids():
 def test_config_validation_messages_name_fields():
     with pytest.raises(ValueError, match="schemes"):
         SweepConfig(schemes=())
+    for one in ("noma", Scheme.NOMA):
+        with pytest.raises(ValueError, match=f"^schemes: {re.escape(repr(one))} is one string"):
+            SweepConfig(schemes=one)
     with pytest.raises(ValueError, match="x_axis"):
         SweepConfig(schemes=(Scheme.NOMA,), x_axis="sideways")
     with pytest.raises(ValueError, match="grid_db"):

@@ -210,6 +210,16 @@ def test_verify_chain_rejects_schemes_without_a_chain():
         verify_chain(make_psk(4), "noma", (0.5,), 1.0)
 
 
+@pytest.mark.parametrize(
+    "splits, message",
+    [((), "split list must be nonempty"), ((1.5,), "split 1.5 outside"),
+     ((0.5, -0.25), "split -0.25 outside"), ((math.nan,), "split nan outside")],
+)
+def test_verify_chain_refuses_bad_rama2_splits_by_name(splits, message):
+    with pytest.raises(ValueError, match=f"^splits: {message}"):
+        verify_chain(make_qam(4), "rama2", splits, 1.0)
+
+
 def test_verify_chain_total_power_bounds():
     const = make_qam(16)
     assert verify_chain(const, "rama2", (0.5,), MAX_PG)[0][0] >= 0.0
