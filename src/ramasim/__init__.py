@@ -14,11 +14,8 @@ from .constellations import Constellation, SymbolRelation, make_psk, make_qam, r
 from .rates import (
     RatePair,
     Scheme,
-    case2_holds,
-    case2_sufficient,
     noma_rates,
     noma_sum_symmetric,
-    oma_rates,
     rama1_rates,
     rama1_sum_symmetric,
     rama2_rates,
@@ -55,15 +52,12 @@ __all__ = [
     "SweepRow",
     "SymbolRelation",
     "TxSignal",
-    "case2_holds",
-    "case2_sufficient",
     "default_grid",
     "from_db",
     "make_psk",
     "make_qam",
     "noma_rates",
     "noma_sum_symmetric",
-    "oma_rates",
     "r2_at_r1",
     "rama1_rates",
     "rama1_sum_symmetric",

@@ -252,7 +252,8 @@ def _merge_params(command: str, table: dict, args) -> dict:
     return params
 
 
-def _metadata_lines(command: str, table: dict, params: dict) -> list:
+def _metadata(command: str, table: dict, params: dict) -> str:
+    """The CSV's commented metadata block: version, RNG, and the config echo."""
     lines = [
         f"# ramasim {command} v{__version__}",
         f"# rng: {RNG_ALGORITHM}",
@@ -263,20 +264,19 @@ def _metadata_lines(command: str, table: dict, params: dict) -> list:
     for key, (_, serialize, *_) in table.items():
         lines.append(f"# {key} = {serialize(params[key])}")
     lines.append("# config-end")
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def _write_output(out: str, blocks) -> None:
-    """Write each block of lines to `out` ('-' = stdout) as soon as it is formatted.
+    """Write each block to `out` ('-' = stdout) with one write, as soon as it is formatted.
 
-    One write holds one block: a line, one grid point's sweep rows or at most
-    `_REGION_BLOCK_ROWS` region rows, so the output is never held whole.
+    A block is newline-terminated text: the metadata, a header, a report or
+    one `_g6` conversion's CSV rows, so the output is never held whole.
     """
     with (contextlib.nullcontext(sys.stdout) if out == "-"
           else open(out, "w", encoding="utf-8", newline="")) as fh:
         for block in blocks:
             fh.write(block)
-            fh.write("\n")
 
 
 # --- CSV number encoding ------------------------------------------------------
@@ -361,7 +361,7 @@ def _g6(values) -> np.ndarray:
 
 def _text(shape, *parts) -> str:
     """Rows of `shape` made of the uint8 `parts` side by side, each broadcast to
-    `shape`, as ASCII text less its first byte and every NUL."""
+    `shape`, as ASCII text less every NUL."""
     width = sum(part.shape[-1] for part in parts)
     buf = bytearray(math.prod(shape) * width)
     rows = np.frombuffer(buf, np.uint8).reshape(*shape, width)
@@ -369,7 +369,6 @@ def _text(shape, *parts) -> str:
     for part in parts:
         rows[..., at:at + part.shape[-1]] = part
         at += part.shape[-1]
-    buf[0] = 0
     text = buf.translate(None, b"\0")
     del rows, buf  # so the decoded copy does not coexist with the matrix
     return text.decode("ascii")
@@ -377,58 +376,53 @@ def _text(shape, *parts) -> str:
 
 # --- commands ---------------------------------------------------------------
 # Each takes the merged parameters and returns (exit code, output blocks); a
-# block is one or more lines joined by newlines. All work is done before it
+# block is one or more newline-terminated lines. All work is done before it
 # returns, so a refused input raises before any output.
 
 
 def _region_blocks(scheme: Scheme, r1, r2):
     """The CSV rows of one frontier, `_REGION_BLOCK_ROWS` rows a block.
 
-    A row is "\\n" and the scheme, then the r1 and r2 fields, each led by ",".
+    A row is the scheme, the r1 and r2 fields, each led by ",", and "\\n".
     """
-    lead = np.frombuffer(b"\n" + str(scheme).encode(), np.uint8)
+    name = np.frombuffer(str(scheme).encode(), np.uint8)
+    newline = np.frombuffer(b"\n", np.uint8)
     k = _REGION_BLOCK_ROWS
     for start in range(0, len(r1), k):
         fields = _g6(np.stack((r1[start:start + k], r2[start:start + k]), 1))
         fields[..., 0] = ord(",")
-        yield _text((len(fields),), lead, fields.reshape(len(fields), -1))
+        yield _text((len(fields),), name, fields.reshape(len(fields), -1), newline)
 
 
 def _cmd_region(params) -> tuple:
     lb = from_db(params["g1_db"], params["g2_db"])
     regions = [(s, trace_region(s, lb, params["grid_n"])) for s in params["schemes"]]
     blocks = itertools.chain.from_iterable(_region_blocks(s, r.r1, r.r2) for s, r in regions)
-    return EXIT_OK, itertools.chain(["scheme,r1_bits,r2_bits"], blocks)
+    return EXIT_OK, itertools.chain(["scheme,r1_bits,r2_bits\n"], blocks)
 
 
 def _sweep_blocks(result):
-    """The CSV rows of one grid point's (scheme, split) cells a block, in C order.
+    """The CSV rows of a few grid points' (scheme, split) cells a block, in C order.
 
-    A row is "\\n" ("\\x01" for a point's first row, where the text splits
-    into blocks), x's field, the cell's ",scheme,split", then the mean's and
-    stderr's fields led by ","; an all-zero stderr column is the constant
-    ",0" ("%.6g" % 0.0 == "0"). Values are encoded in whole points, at most
-    `_SWEEP_CONVERT_VALUES` a `_g6` call, or one point if it holds more.
+    A row is x's field, the cell's ",scheme,split", the mean's and stderr's
+    fields led by ",", and "\\n"; an all-zero stderr column is the constant
+    ",0" ("%.6g" % 0.0 == "0"). A block is one `_g6` call's rows: whole
+    points, at most `_SWEEP_CONVERT_VALUES` values, or one point if it holds more.
     """
     zero_errors = not result.errors.view(np.uint64).any()  # every stderr is +0.0
     cells = np.array([",%s,%.6g" % (s, t) for s in result.schemes for t in result.splits], "S")
     cells = cells.view(np.uint8).reshape(len(cells), -1)  # NUL-padded
-    lead = np.full((len(cells), 1), ord("\n"), np.uint8)
-    lead[0] = 1
-    tail = np.frombuffer(b",0" if zero_errors else b"", np.uint8)
+    tail = np.frombuffer(b",0\n" if zero_errors else b"\n", np.uint8)
     columns = (result.means,) if zero_errors else (result.means, result.errors)
-
-    def blocks(points):
+    step = max(1, _SWEEP_CONVERT_VALUES // (len(columns) * len(cells)))
+    for start in range(0, len(result.grid), step):
+        points = slice(start, start + step)
         x = np.asarray(result.grid[points])
         fields = _g6(np.concatenate([x] + [c[points].ravel() for c in columns]))
         fields[len(x):, 0] = ord(",")
         shape = (len(x), len(cells))
         values = fields[len(x):].reshape(len(columns), *shape, 16)
-        return _text(shape, lead, fields[:len(x), None], cells, *values, tail).split("\x01")
-
-    step = max(1, _SWEEP_CONVERT_VALUES // (len(columns) * len(cells)))
-    for start in range(0, len(result.grid), step):
-        yield from blocks(slice(start, start + step))
+        yield _text(shape, fields[:len(x), None], cells, *values, tail)
 
 
 def _cmd_sweep(params) -> tuple:
@@ -437,7 +431,7 @@ def _cmd_sweep(params) -> tuple:
     grid = build_grid(params["grid_start_db"], params["grid_stop_db"], params["grid_step_db"])
     shared = ("schemes", "splits", "fading_samples", "seed", "ratio_anchor_db")  # field names too
     cfg = SweepConfig(x_axis=params["mode"], grid_db=grid, **{k: params[k] for k in shared})
-    return EXIT_OK, itertools.chain(["x_db,scheme,split,sum_rate_bits,stderr"],
+    return EXIT_OK, itertools.chain(["x_db,scheme,split,sum_rate_bits,stderr\n"],
                                     _sweep_blocks(run_sweep(cfg)))
 
 
@@ -471,7 +465,7 @@ def _cmd_signal_check(params) -> tuple:
     ok = worst <= SIGNAL_TOL
     lines.append(f"max |error| = {worst:.3e} (tolerance {SIGNAL_TOL:g})")
     lines.append("result: PASS" if ok else "result: FAIL")
-    return (EXIT_OK if ok else EXIT_RUNTIME), lines
+    return (EXIT_OK if ok else EXIT_RUNTIME), ["\n".join(lines) + "\n"]
 
 
 # --- entry points ------------------------------------------------------------
@@ -528,7 +522,7 @@ def main(argv=None) -> int:
         params = _merge_params(args.command, table, args)
         code, blocks = run(params)
         if writes_csv:
-            blocks = itertools.chain(_metadata_lines(args.command, table, params), blocks)
+            blocks = itertools.chain([_metadata(args.command, table, params)], blocks)
         _write_output(args.out if writes_csv else "-", blocks)
         return code
     except ValueError as exc:

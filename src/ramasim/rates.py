@@ -29,6 +29,14 @@ class Scheme(str, enum.Enum):
     OMA = "oma"
 
 
+def _scheme(value, key: str) -> Scheme:
+    """The scheme `value` names; if none, a ValueError naming `key` and every scheme."""
+    try:
+        return Scheme(value)
+    except ValueError:
+        raise ValueError(f"{key}: {value!r} is not one of {', '.join(Scheme)}") from None
+
+
 @dataclass(frozen=True)
 class RatePair:
     """Per-user rates in bits/s/Hz for one scheme evaluation."""
@@ -145,13 +153,6 @@ def rama2_rates(alloc: PowerAllocation, lb: LinkBudget) -> RatePair:
     return _pair(Scheme.RAMA2, alloc.p, alloc.p1, alloc.p2, lb)
 
 
-def oma_rates(alloc: PowerAllocation, lb: LinkBudget, beta: float) -> RatePair:
-    """Orthogonal baseline: user 1 gets bandwidth share beta, user 2 the rest."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("bandwidth share beta must lie in [0, 1]")
-    return _pair(Scheme.OMA, alloc.p, alloc.p1, alloc.p2, lb, beta)
-
-
 def _check_p_gamma(p_gamma: float) -> None:
     if not 0.0 <= p_gamma <= MAX_PG:
         raise ValueError(f"p_gamma {p_gamma!r} outside [0, {MAX_PG:g}]")
@@ -167,21 +168,3 @@ def rama1_sum_symmetric(p_gamma: float) -> float:
     """Equal-split interference-free sum rate at equal per-user SNR."""
     _check_p_gamma(p_gamma)
     return math.log2(1.0 + p_gamma + 0.25 * p_gamma * p_gamma)
-
-
-def case2_holds(alloc: PowerAllocation, lb: LinkBudget) -> bool:
-    """Exact asymmetric-channel dominance test for the equal-split chain.
-
-    Compares the interference-free NOMA product bound against the equal
-    split: (1 + p1*g1)(1 + p2*g2) <= (1 + p*g1/2)(1 + p*g2/2).
-    """
-    if lb.gamma1 < lb.gamma2:
-        raise ValueError("asymmetric ordering violated: gamma1 >= gamma2 required")
-    lhs = (1.0 + alloc.p1 * lb.gamma1) * (1.0 + alloc.p2 * lb.gamma2)
-    rhs = (1.0 + 0.5 * alloc.p * lb.gamma1) * (1.0 + 0.5 * alloc.p * lb.gamma2)
-    return lhs <= rhs
-
-
-def case2_sufficient(alloc: PowerAllocation) -> bool:
-    """Sufficient condition for `case2_holds`: at most half the power to user 1."""
-    return alloc.p1 <= 0.5 * alloc.p

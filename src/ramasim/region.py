@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkBudget
-from .rates import SCHEMES, Scheme
+from .rates import SCHEMES, Scheme, _scheme
 
 # Allocation points one trace may evaluate: n^2 for OMA, n otherwise. Rates
 # are streamed in blocks, and each pre-filter survivor costs about a dozen
@@ -99,7 +99,7 @@ def trace_region(scheme, lb: LinkBudget, n: int) -> RateRegion:
     no free parameter and collapses to a single point. Reconfigurable NOMA
     adds a beam share to the split and has no region here.
     """
-    scheme = Scheme(scheme)
+    scheme = _scheme(scheme, "scheme")
     if scheme is Scheme.RECONFIG_NOMA:
         raise ValueError(f"region tracing is not defined for scheme {scheme.value!r}")
     if not isinstance(n, numbers.Integral):

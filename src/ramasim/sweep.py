@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import RngState, db_to_linear, rayleigh_fades
-from .rates import SCHEMES, Scheme
+from .rates import SCHEMES, Scheme, _scheme
 
 X_AXIS_SYMMETRIC = "symmetric"
 X_AXIS_RATIO = "ratio"
@@ -116,7 +116,7 @@ class SweepConfig:
             )
         if isinstance(self.schemes, str):  # a Scheme too: its characters are no schemes
             raise ValueError(f"schemes: {self.schemes!r} is one string, not a sequence of schemes")
-        schemes = tuple(Scheme(s) for s in self.schemes)
+        schemes = tuple(_scheme(s, "schemes") for s in self.schemes)
         if not schemes:
             raise ValueError("schemes must be nonempty")
         object.__setattr__(self, "schemes", schemes)

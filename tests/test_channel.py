@@ -121,6 +121,8 @@ def test_rayleigh_phase_uniform():
 def test_rayleigh_rejects_bad_parameters():
     with pytest.raises(ValueError):
         rayleigh_fades(RngState(0), 0.0, 4)
+    with pytest.raises(ValueError, match="^size must be nonnegative$"):
+        RngState(0).standard_normal(-1)
 
 
 class _GivenNormals:

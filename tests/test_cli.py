@@ -855,11 +855,11 @@ _K = cli._REGION_BLOCK_ROWS
 def test_region_csv_rows_equal_the_row_template(scheme, frontier):
     r1, r2 = frontier
     blocks = list(cli._region_blocks(scheme, r1, r2))
-    assert [block.count("\n") + 1 for block in blocks] == [
+    assert [block.count("\n") for block in blocks] == [
         min(_K, len(r1) - start) for start in range(0, len(r1), _K)
     ]
-    rows = ["%s,%.6g,%.6g" % (scheme, a, b) for a, b in zip(r1.tolist(), r2.tolist())]
-    assert "\n".join(blocks).split("\n") == rows
+    rows = ["%s,%.6g,%.6g\n" % (scheme, a, b) for a, b in zip(r1.tolist(), r2.tolist())]
+    assert "".join(blocks) == "".join(rows)
 
 
 def _sweep_result(points, schemes, splits, fading):
@@ -879,10 +879,10 @@ def test_sweep_blocks_are_the_same_bytes_for_any_conversion_size(monkeypatch, fa
     for schemes, splits in (((Scheme.OMA,), (0.5,)), ((Scheme.OMA,), (0.0, 0.25, 1.0)),
                             ((Scheme.NOMA, Scheme.RAMA2), tuple(k / 4 for k in range(5)))):
         result = _sweep_result(10, schemes, splits, fading)
-        whole = list(cli._sweep_blocks(result))
+        whole = "".join(cli._sweep_blocks(result))
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_SWEEP_CONVERT_VALUES", values)
-            assert list(cli._sweep_blocks(result)) == whole
+            assert "".join(cli._sweep_blocks(result)) == whole
 
 
 def _formatting_peak(result):
@@ -927,13 +927,14 @@ class _RecordingFile(io.StringIO):
         (["sweep", "--grid-start-db", "0", "--grid-stop-db", "1",
           "--schemes", "noma,reconfig-noma,rama1,rama2,oma",
           "--splits", ",".join(["0.5"] * sweep.MAX_SPLITS)], 5 * sweep.MAX_SPLITS),
-        (["sweep", "--schemes", "noma,oma", "--fading-samples", "3"], 2 * 3),
+        # 51 default grid points of 2 * 3 cells with stderrs: 12 values a point,
+        # so one conversion holds every point
+        (["sweep", "--schemes", "noma,oma", "--fading-samples", "3"], 51 * 2 * 3),
     ],
 )
 def test_one_write_holds_at_most_one_block(argv, block_lines):
     fh = _RecordingFile()
     with contextlib.redirect_stdout(fh):
         assert cli.main(argv) == 0
-    blocks, newlines = fh.writes[0::2], fh.writes[1::2]
-    assert newlines == ["\n"] * len(blocks)
-    assert max(block.count("\n") + 1 for block in blocks) == block_lines
+    assert all(block.endswith("\n") for block in fh.writes)
+    assert max(block.count("\n") for block in fh.writes) == block_lines

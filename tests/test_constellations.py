@@ -184,6 +184,8 @@ def test_delta_theta_normalized_to_half_open_interval():
             continue
         rel = relate(s1, s2)
         assert 0.0 <= rel.delta_theta < TWO_PI
+    # -1e-17 % TWO_PI rounds to TWO_PI itself, which wraps to 0
+    assert relate(complex(1.0, 1e-17), 1 + 0j).delta_theta == 0.0
 
 
 def test_symbol_relation_validates_fields():

@@ -10,12 +10,9 @@ from ramasim.rates import (
     SCHEMES,
     RatePair,
     Scheme,
-    case2_holds,
-    case2_sufficient,
     noma_rates,
     noma_sum_symmetric,
     oma,
-    oma_rates,
     rama1_rates,
     rama1_sum_symmetric,
     rama2_rates,
@@ -27,6 +24,27 @@ from ramasim.transceiver import PowerAllocation
 
 def _alloc(p, frac):
     return PowerAllocation.from_fraction(p, frac)
+
+
+def _oma(alloc, lb, beta):
+    """OMA's table rates with bandwidth share beta for user 1."""
+    return SCHEMES[Scheme.OMA](alloc.p, alloc.p1, alloc.p2, lb.gamma1, lb.gamma2, beta)
+
+
+def case2_holds(alloc, lb):
+    """The paper's asymmetric claim (Case 2), exactly: with gamma1 >= gamma2 the
+    equal split beats the interference-free NOMA product bound,
+    (1 + p1*g1)(1 + p2*g2) <= (1 + p*g1/2)(1 + p*g2/2)."""
+    if lb.gamma1 < lb.gamma2:
+        raise ValueError("asymmetric ordering violated: gamma1 >= gamma2 required")
+    lhs = (1.0 + alloc.p1 * lb.gamma1) * (1.0 + alloc.p2 * lb.gamma2)
+    rhs = (1.0 + 0.5 * alloc.p * lb.gamma1) * (1.0 + 0.5 * alloc.p * lb.gamma2)
+    return lhs <= rhs
+
+
+def case2_sufficient(alloc):
+    """Sufficient condition for `case2_holds`: at most half the power to user 1."""
+    return alloc.p1 <= 0.5 * alloc.p
 
 
 def test_rate_pair_validation():
@@ -175,20 +193,20 @@ def test_rama2_weak_user_beats_noma_weak_user():
 
 def test_oma_corner_and_half_band():
     lb = from_db(15.0, 15.0)
-    corner = oma_rates(_alloc(1.0, 1.0), lb, 1.0)
-    assert math.isclose(corner.r1, math.log2(1 + 10**1.5), rel_tol=1e-12)
-    assert corner.r2 == 0.0
-    half = oma_rates(_alloc(1.0, 0.5), lb, 0.5)
+    r1, r2 = _oma(_alloc(1.0, 1.0), lb, 1.0)
+    assert math.isclose(r1, math.log2(1 + 10**1.5), rel_tol=1e-12)
+    assert r2 == 0.0
+    r1, r2 = _oma(_alloc(1.0, 0.5), lb, 0.5)
     # oracle: 0.5 * log2(1 + (p/2)*g / 0.5) = 0.5 * log2(1 + p*g)
-    assert math.isclose(half.r1, 2.5139038366752597, rel_tol=1e-12)
-    assert half.r1 == half.r2
+    assert math.isclose(r1, 2.5139038366752597, rel_tol=1e-12)
+    assert r1 == r2
 
 
 def test_oma_zero_bandwidth_carries_zero_rate():
     lb = from_db(20.0, 20.0)
-    pair = oma_rates(_alloc(1.0, 0.0), lb, 0.0)
-    assert pair.r1 == 0.0
-    assert math.isclose(pair.r2, math.log2(1 + 100.0), rel_tol=1e-12)
+    r1, r2 = _oma(_alloc(1.0, 0.0), lb, 0.0)
+    assert r1 == 0.0
+    assert math.isclose(r2, math.log2(1 + 100.0), rel_tol=1e-12)
 
 
 def _two_mask_oma(p, g, band):
@@ -212,13 +230,6 @@ def test_oma_equals_the_two_mask_form_bit_for_bit(p, cells):
         with np.errstate(over="ignore"):
             got, want = np.asarray(oma(*args), dtype=float), _two_mask_oma(*args)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
-@pytest.mark.parametrize("beta", [-0.01, 1.01])
-def test_oma_rejects_bad_beta(beta):
-    lb = from_db(0.0, 0.0)
-    with pytest.raises(ValueError, match="beta"):
-        oma_rates(_alloc(1.0, 0.5), lb, beta)
 
 
 def test_sum_symmetric_closed_forms():

@@ -95,7 +95,8 @@ def test_rate_region_invariant_checks():
 
 def test_trace_region_rejects_unknown_and_untraceable_schemes():
     lb = from_db(10.0, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^scheme: 'bogus' is not one of noma, reconfig-noma, "
+                                         "rama1, rama2, oma$"):
         trace_region("bogus", lb, 10)
     with pytest.raises(ValueError, match="not defined"):
         trace_region(Scheme.RECONFIG_NOMA, lb, 10)

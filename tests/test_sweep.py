@@ -47,6 +47,9 @@ def test_config_validation_messages_name_fields():
     for one in ("noma", Scheme.NOMA):
         with pytest.raises(ValueError, match=f"^schemes: {re.escape(repr(one))} is one string"):
             SweepConfig(schemes=one)
+    with pytest.raises(ValueError, match="^schemes: 'bogus' is not one of noma, reconfig-noma, "
+                                         "rama1, rama2, oma$"):
+        SweepConfig(schemes=("bogus",))
     with pytest.raises(ValueError, match="x_axis"):
         SweepConfig(schemes=(Scheme.NOMA,), x_axis="sideways")
     with pytest.raises(ValueError, match="grid_db"):

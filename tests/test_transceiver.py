@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramasim.channel import MAX_PG
-from ramasim.constellations import make_psk, make_qam
+from ramasim.constellations import Constellation, make_psk, make_qam
 from ramasim.transceiver import (
     PowerAllocation,
     TxSignal,
@@ -189,6 +189,9 @@ def _chain_setups(draw):
 @given(_chain_setups())
 # s_bar ** 2 as s_bar * s_bar changes the power error of this one.
 @example((make_qam(64), "rama2", (0.15,), 23.2))
+# A phase difference of -1e-17 rounds up to 2*pi mod 2*pi: both chains wrap it.
+@example((Constellation((1 + 0j, complex(1.0, 1e-17))), "rama1", (0.1, 0.5, 0.9), 1.0))
+@example((Constellation((1 + 0j, complex(1.0, 1e-17))), "rama2", (0.1, 0.5, 0.9), 1.0))
 def test_verify_chain_equals_scalar_chains_bit_for_bit(setup):
     # Exact equality: the signal-check report prints these ~1e-16 errors.
     # rama1 on QAM above order 4 mixes moduli, so both must raise alike.
